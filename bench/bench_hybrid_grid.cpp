@@ -1,6 +1,8 @@
 // bench_hybrid_grid: sweep the S x R hybrid device grid over the zoo and
 // compare against the pure-data-parallel (1 x R) and pure-pipeline (S x 1)
-// baselines at matched and unmatched device counts.
+// baselines at matched and unmatched device counts. Every config, baselines
+// included, runs on dist::HybridParallelTrainer; each row's iteration time
+// spans forward, backward, all-reduce and the SGD step.
 //
 // The hybrid grid's pitch: capacity (pipeline depth S) and throughput
 // (replica width R) scale along INDEPENDENT axes. A 2x2 grid halves every
@@ -34,9 +36,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "dist/data_parallel.hpp"
 #include "dist/hybrid_parallel.hpp"
-#include "dist/pipeline_parallel.hpp"
 #include "util/json_writer.hpp"
 
 using namespace sn;
@@ -148,25 +148,46 @@ int main(int argc, char** argv) {
       t.add_row({name, "1 device", "-", "1", util::format_double(r.seconds * 1e3, 1),
                  util::format_double(r.img_per_s, 1), "0.000", "0.00", "0.00", "0.0"});
     }
+    auto grid_config = [&](int stages, int replicas, int microbatches,
+                           dist::SchedulePolicy policy) {
+      dist::HybridParallelConfig cfg;
+      cfg.stages = stages;
+      cfg.replicas = replicas;
+      cfg.microbatches = microbatches;
+      cfg.global_batch = kGlobalBatch;
+      cfg.cluster = sim::nvlink_cluster_spec(stages * replicas);
+      cfg.train.iterations = kIters;
+      cfg.schedule = policy;
+      return cfg;
+    };
+    auto run_grid = [&](const dist::HybridParallelConfig& cfg) {
+      dist::HybridParallelTrainer hyb(factory, sim_options(cfg.cluster), cfg);
+      return hyb.run();
+    };
+    // Standard pipeline-bubble fraction: span in excess of the bottleneck
+    // cell's own busy time (matches bench_pipeline_stages).
+    auto bubble_frac = [](const dist::HybridParallelReport& rep) {
+      const auto& st = rep.stats.back();
+      double busy_max = 0.0;
+      for (const auto& row_st : rep.cell_stats.back()) {
+        for (const auto& cs : row_st) {
+          busy_max = std::max(busy_max, cs.seconds - cs.bubble_seconds);
+        }
+      }
+      return (st.seconds - busy_max) / st.seconds;
+    };
+
     // Pure data parallelism: 1 x 2.
     {
-      dist::DataParallelConfig cfg;
-      cfg.devices = 2;
-      cfg.global_batch = kGlobalBatch;
-      cfg.cluster = sim::nvlink_cluster_spec(2);
-      cfg.train.iterations = kIters;
-      dist::DataParallelTrainer dp(factory, sim_options(cfg.cluster), cfg);
-      const auto rep = dp.run();
-      const auto& st = rep.stats.back();
+      const auto cfg = grid_config(1, 2, 1, dist::SchedulePolicy::kGPipe);
+      const auto st = run_grid(cfg).stats.back();
       Row r{name,       "dp", "-",
             1,          2,    1,
             st.seconds, kGlobalBatch / st.seconds,
             0.0,        st.allreduce_seconds,
             0.0,        st.p2p_bytes};
-      add_dispersion(&r, repeats, kGlobalBatch, [&] {
-        dist::DataParallelTrainer again(factory, sim_options(cfg.cluster), cfg);
-        return again.run().stats.back().seconds;
-      });
+      add_dispersion(&r, repeats, kGlobalBatch,
+                     [&] { return run_grid(cfg).stats.back().seconds; });
       rows.push_back(r);
       dp2_imgs = r.img_per_s;
       t.add_row({name, "1 x 2 (pure DP)", "-", "2", util::format_double(r.seconds * 1e3, 1),
@@ -176,68 +197,37 @@ int main(int argc, char** argv) {
     }
     // Pure pipeline: 2 x 1.
     {
-      dist::PipelineParallelConfig cfg;
-      cfg.stages = 2;
-      cfg.microbatches = kMicrobatches;
-      cfg.global_batch = kGlobalBatch;
-      cfg.cluster = sim::nvlink_cluster_spec(2);
-      cfg.train.iterations = kIters;
-      dist::PipelineParallelTrainer pipe(factory, sim_options(cfg.cluster), cfg);
-      const auto rep = pipe.run();
+      const auto cfg = grid_config(2, 1, kMicrobatches, dist::SchedulePolicy::kGPipe);
+      const auto rep = run_grid(cfg);
       const auto& st = rep.stats.back();
-      // Standard pipeline-bubble fraction: span in excess of the bottleneck
-      // stage's own busy time (matches bench_pipeline_stages).
-      double busy_max = 0.0;
-      for (const auto& ss : rep.stage_stats.back()) {
-        busy_max = std::max(busy_max, ss.seconds - ss.bubble_seconds);
-      }
       Row r{name,       "pipeline", "-",
             2,          1,          kMicrobatches,
             st.seconds, kGlobalBatch / st.seconds,
             st.bubble_seconds, 0.0,
             0.0,        st.p2p_bytes};
-      add_dispersion(&r, repeats, kGlobalBatch, [&] {
-        dist::PipelineParallelTrainer again(factory, sim_options(cfg.cluster), cfg);
-        return again.run().stats.back().seconds;
-      });
+      add_dispersion(&r, repeats, kGlobalBatch,
+                     [&] { return run_grid(cfg).stats.back().seconds; });
       rows.push_back(r);
       pipe2_imgs = r.img_per_s;
       t.add_row({name, "2 x 1 (pure pipeline)", "-", "2",
                  util::format_double(r.seconds * 1e3, 1), util::format_double(r.img_per_s, 1),
-                 util::format_double((st.seconds - busy_max) / st.seconds, 3), "0.00", "0.00",
+                 util::format_double(bubble_frac(rep), 3), "0.00", "0.00",
                  util::format_double(static_cast<double>(r.p2p_bytes) / 1048576.0, 1)});
     }
     // Hybrid grids, one run per schedule policy.
     for (const GridCfg& g : grids) {
       for (dist::SchedulePolicy policy : policies) {
         const char* pname = dist::schedule_policy_name(policy);
-        dist::HybridParallelConfig cfg;
-        cfg.stages = g.stages;
-        cfg.replicas = g.replicas;
-        cfg.microbatches = kMicrobatches;
-        cfg.global_batch = kGlobalBatch;
-        cfg.cluster = sim::nvlink_cluster_spec(g.stages * g.replicas);
-        cfg.train.iterations = kIters;
-        cfg.schedule = policy;
-        dist::HybridParallelTrainer hyb(factory, sim_options(cfg.cluster), cfg);
-        const auto rep = hyb.run();
+        const auto cfg = grid_config(g.stages, g.replicas, kMicrobatches, policy);
+        const auto rep = run_grid(cfg);
         const auto& st = rep.stats.back();
-        // Bottleneck cell busy time across the grid (see pure-pipeline row).
-        double busy_max = 0.0;
-        for (const auto& row_st : rep.cell_stats.back()) {
-          for (const auto& cs : row_st) {
-            busy_max = std::max(busy_max, cs.seconds - cs.bubble_seconds);
-          }
-        }
         Row r{name,       "hybrid",  pname,
               g.stages,   g.replicas, kMicrobatches,
               st.seconds, kGlobalBatch / st.seconds,
               st.bubble_seconds, st.allreduce_seconds,
               st.allreduce_exposed_seconds, st.p2p_bytes};
-        add_dispersion(&r, repeats, kGlobalBatch, [&] {
-          dist::HybridParallelTrainer again(factory, sim_options(cfg.cluster), cfg);
-          return again.run().stats.back().seconds;
-        });
+        add_dispersion(&r, repeats, kGlobalBatch,
+                       [&] { return run_grid(cfg).stats.back().seconds; });
         rows.push_back(r);
         exposed_by_cfg[{name, g.stages, g.replicas, pname}] = r.allreduce_exposed_seconds;
         if (g.stages == 2 && g.replicas == 2 && r.img_per_s > dp2_imgs &&
@@ -248,7 +238,7 @@ int main(int argc, char** argv) {
                    std::to_string(g.stages) + " x " + std::to_string(g.replicas) + " hybrid",
                    pname, std::to_string(g.stages * g.replicas),
                    util::format_double(r.seconds * 1e3, 1), util::format_double(r.img_per_s, 1),
-                   util::format_double((st.seconds - busy_max) / st.seconds, 3),
+                   util::format_double(bubble_frac(rep), 3),
                    util::format_double(r.allreduce_seconds * 1e3, 2),
                    util::format_double(r.allreduce_exposed_seconds * 1e3, 2),
                    util::format_double(static_cast<double>(r.p2p_bytes) / 1048576.0, 1)});

@@ -1,5 +1,7 @@
 // bench_pipeline_stages: sweep pipeline stages x microbatches x schedule over
 // the zoo and compare against the single-device and data-parallel baselines.
+// Every distributed config is a dist::HybridParallelTrainer grid: S x 1 for
+// the pipeline, 1 x S for the data-parallel baseline.
 //
 // The pipeline's fill/drain ramps idle (S-1) microbatch slots per stage
 // regardless of M, so the bubble fraction must shrink as microbatches grow
@@ -38,8 +40,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "dist/data_parallel.hpp"
-#include "dist/pipeline_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "util/json_writer.hpp"
 
 using namespace sn;
@@ -139,13 +140,15 @@ int main(int argc, char** argv) {
     for (int stages : stage_sweep) {
       // Data-parallel baseline at the same device count.
       {
-        dist::DataParallelConfig cfg;
-        cfg.devices = stages;
+        dist::HybridParallelConfig cfg;
+        cfg.stages = 1;
+        cfg.replicas = stages;
+        cfg.microbatches = 1;
         cfg.global_batch = kGlobalBatch;
         cfg.cluster = sim::nvlink_cluster_spec(stages);
         cfg.train.iterations = kIters;
         auto factory = [&](int batch) { return bench::build_network(name, batch); };
-        dist::DataParallelTrainer dp(factory, sim_options(cfg.cluster), cfg);
+        dist::HybridParallelTrainer dp(factory, sim_options(cfg.cluster), cfg);
         auto rep = dp.run();
         const auto& st = rep.stats.back();
         t.add_row({name, std::to_string(stages) + "-dev data-parallel", "-",
@@ -160,23 +163,24 @@ int main(int argc, char** argv) {
           std::vector<double> samples;
           Row r;
           for (int run = 0; run < repeats; ++run) {
-            dist::PipelineParallelConfig cfg;
+            dist::HybridParallelConfig cfg;
             cfg.stages = stages;
+            cfg.replicas = 1;
             cfg.microbatches = mb;
             cfg.global_batch = kGlobalBatch;
             cfg.cluster = sim::nvlink_cluster_spec(stages);
             cfg.train.iterations = kIters;
             cfg.schedule = policy;
             auto factory = [&](int batch) { return bench::build_network(name, batch); };
-            dist::PipelineParallelTrainer pipe(factory, sim_options(cfg.cluster), cfg);
+            dist::HybridParallelTrainer pipe(factory, sim_options(cfg.cluster), cfg);
             auto rep = pipe.run();
             const auto& st = rep.stats.back();
             samples.push_back(st.seconds);
             if (run > 0) continue;
             // Bottleneck stage busy time: per-stage span minus its stalls.
             double busy_max = 0.0;
-            for (const auto& ss : rep.stage_stats.back()) {
-              busy_max = std::max(busy_max, ss.seconds - ss.bubble_seconds);
+            for (const auto& row : rep.cell_stats.back()) {
+              busy_max = std::max(busy_max, row[0].seconds - row[0].bubble_seconds);
             }
             r = Row{name,          pname,
                     stages,        mb,

@@ -1,16 +1,18 @@
 // bench_scaling_devices: data-parallel scaling curves on the simulated
 // cluster (1/2/4/8 devices, NVLink vs PCIe fabrics).
 //
-// Weak scaling holds the per-device batch constant (the whole point of the
-// paper's memory runtime is to keep per-device batches large); strong scaling
-// splits a fixed global batch. Throughput counts the global batch against the
-// slowest device's iteration time including the gradient ring all-reduce, so
-// the communication overhead the fabric model charges is visible as the gap
-// to linear speedup.
+// Each point is a 1 x N dist::HybridParallelTrainer grid (one replica per
+// device, no pipeline stages). Weak scaling holds the per-device batch
+// constant (the whole point of the paper's memory runtime is to keep
+// per-device batches large); strong scaling splits a fixed global batch.
+// Throughput counts the global batch against the slowest device's iteration
+// time including the gradient all-reduce and the SGD step, so the
+// communication overhead the fabric model charges is visible as the gap to
+// linear speedup.
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "dist/data_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 
 using namespace sn;
 
@@ -26,15 +28,17 @@ struct Point {
 
 Point run_point(const std::string& net, int devices, int per_device_batch,
                 const sim::ClusterSpec& fabric) {
-  dist::DataParallelConfig cfg;
-  cfg.devices = devices;
+  dist::HybridParallelConfig cfg;
+  cfg.stages = 1;
+  cfg.replicas = devices;
+  cfg.microbatches = 1;
   cfg.global_batch = devices * per_device_batch;
   cfg.cluster = fabric;
   cfg.train.iterations = 2;  // first iteration warms the offload schedule
   core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons,
                                              fabric.device);
   o.real = false;
-  dist::DataParallelTrainer dp(
+  dist::HybridParallelTrainer dp(
       [&](int batch) { return bench::build_network(net, batch); }, o, cfg);
   auto report = dp.run();
   const auto& st = report.stats.back();

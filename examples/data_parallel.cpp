@@ -1,17 +1,19 @@
 // data_parallel: walkthrough of the dist/ layer.
 //
-// Part 1 (real numerics) trains the same tiny conv net twice — once on a
-// single simulated device with the full batch, once data-parallel across two
-// devices with the batch sharded — and shows the per-iteration losses are
-// BIT-IDENTICAL: sharding + ring all-reduce is just another memory schedule,
-// and schedules never change training results.
+// Data parallelism is the 1 x R grid of dist::HybridParallelTrainer: one
+// pipeline stage, replicated across R devices. Part 1 (real numerics) trains
+// the same tiny conv net twice — once on a single simulated device with the
+// full batch, once data-parallel across two devices with the batch sharded —
+// and shows the per-iteration losses are BIT-IDENTICAL: sharding +
+// all-reduce is just another memory schedule, and schedules never change
+// training results.
 //
 // Part 2 (simulation) scales a paper-sized ResNet50 across an NVLink ring
 // and prints the weak-scaling curve with the collective telemetry.
 #include <cstdio>
 #include <cstring>
 
-#include "dist/data_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "train/trainer.hpp"
 #include "util/stats.hpp"
@@ -39,12 +41,14 @@ int main() {
   train::Trainer trainer(rt, tc);
   auto single = trainer.run();
 
-  dist::DataParallelConfig cfg;
-  cfg.devices = 2;
+  dist::HybridParallelConfig cfg;
+  cfg.stages = 1;
+  cfg.replicas = 2;
+  cfg.microbatches = 1;
   cfg.global_batch = kGlobalBatch;
   cfg.cluster = sim::nvlink_cluster_spec(2);
   cfg.train = tc;
-  dist::DataParallelTrainer dp(factory, o, cfg);
+  dist::HybridParallelTrainer dp(factory, o, cfg);
   auto multi = dp.run();
 
   std::printf("=== 1 device (batch %d) vs 2 devices (batch %d each) ===\n", kGlobalBatch,
@@ -64,26 +68,28 @@ int main() {
               all_equal ? "YES" : "NO");
   if (!all_equal) return 1;
 
-  const auto& st = multi.device_stats.back().front();
+  const auto& st = multi.cell_stats.back().front().front();
   std::printf("device 0 telemetry (last iteration): p2p %s MB sent, allreduce %.2f ms, "
               "iteration %.2f ms\n\n",
               util::format_double(st.p2p_bytes / 1048576.0, 2).c_str(),
-              st.allreduce_seconds * 1e3, (st.seconds + st.allreduce_seconds) * 1e3);
+              st.allreduce_seconds * 1e3, st.seconds * 1e3);
 
   // --- Part 2: paper-scale weak scaling (pure simulation) ------------------
   std::printf("=== ResNet50, batch 32/device, NVLink ring (simulated) ===\n");
   util::Table scale({"devices", "iter (ms)", "allreduce (ms)", "P2P (MB)", "img/s", "speedup"});
   double base = 0.0;
   for (int devices : {1, 2, 4}) {
-    dist::DataParallelConfig c2;
-    c2.devices = devices;
+    dist::HybridParallelConfig c2;
+    c2.stages = 1;
+    c2.replicas = devices;
+    c2.microbatches = 1;
     c2.global_batch = 32 * devices;
     c2.cluster = sim::nvlink_cluster_spec(devices);
     c2.train.iterations = 2;
     core::RuntimeOptions so = core::make_policy(core::PolicyPreset::kSuperNeurons,
                                                 c2.cluster.device);
     so.real = false;
-    dist::DataParallelTrainer sim_dp(
+    dist::HybridParallelTrainer sim_dp(
         [](int batch) { return graph::build_resnet_preset(50, batch); }, so, c2);
     auto rep = sim_dp.run();
     const auto& last = rep.stats.back();

@@ -31,7 +31,7 @@
 #include "core/liveness.hpp"
 #include "core/recompute.hpp"
 #include "core/runtime.hpp"
-#include "dist/pipeline_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "obs/chrome_trace.hpp"
 #include "util/stats.hpp"
@@ -68,8 +68,9 @@ const char* phase_name(int ph) {
 // step-trace sample showing the engine's phase/microbatch annotations.
 void pipeline_phase_report(const std::string& name, int batch, int stages, int microbatches,
                            dist::SchedulePolicy policy, const std::string& trace_path) {
-  dist::PipelineParallelConfig cfg;
+  dist::HybridParallelConfig cfg;
   cfg.stages = stages;
+  cfg.replicas = 1;
   cfg.microbatches = microbatches;
   cfg.global_batch = batch;
   cfg.schedule = policy;
@@ -78,8 +79,8 @@ void pipeline_phase_report(const std::string& name, int batch, int stages, int m
   auto factory = [&](int b) { return build(name, b); };
   core::RuntimeOptions opts = core::make_policy(core::PolicyPreset::kSuperNeurons, cfg.cluster.device);
   opts.real = false;
-  dist::PipelineParallelTrainer pipe(factory, opts, cfg);
-  for (int s = 0; s < stages; ++s) pipe.runtime(s).set_retain_telemetry(true);
+  dist::HybridParallelTrainer pipe(factory, opts, cfg);
+  for (int s = 0; s < stages; ++s) pipe.runtime(s, 0).set_retain_telemetry(true);
   obs::TraceSession session;
   if (!trace_path.empty()) pipe.attach_trace(&session);
   auto rep = pipe.run();
@@ -94,7 +95,7 @@ void pipeline_phase_report(const std::string& name, int batch, int stages, int m
     pipe.attach_trace(nullptr);
   }
   const auto& agg = rep.stats.back();
-  const auto& per_stage = rep.stage_stats.back();
+  const auto& per_stage = rep.cell_stats.back();
 
   std::printf("--- schedule %s: iter %.1f ms, bubble %.2f ms "
               "(fill %.2f / steady %.2f / drain %.2f)\n",
@@ -104,7 +105,7 @@ void pipeline_phase_report(const std::string& name, int batch, int stages, int m
   util::Table t({"stage", "layers", "busy (ms)", "bubble fill (ms)", "steady (ms)",
                  "drain (ms)", "stash (MB)"});
   for (int s = 0; s < stages; ++s) {
-    const auto& st = per_stage[static_cast<size_t>(s)];
+    const auto& st = per_stage[static_cast<size_t>(s)][0];
     const auto& spec = pipe.plan().stages[static_cast<size_t>(s)];
     t.add_row({std::to_string(s), std::to_string(spec.end - spec.begin),
                util::format_double((st.seconds - st.bubble_seconds) * 1e3, 2),
@@ -117,7 +118,7 @@ void pipeline_phase_report(const std::string& name, int batch, int stages, int m
 
   // The stamps themselves: the last stage's retained step telemetry carries
   // the engine's (phase, microbatch) annotation on every step.
-  const auto& tele = pipe.runtime(stages - 1).step_telemetry();
+  const auto& tele = pipe.runtime(stages - 1, 0).step_telemetry();
   std::printf("stage %d stamped steps (first 8 of %zu): ", stages - 1, tele.size());
   for (size_t i = 0; i < tele.size() && i < 8; ++i) {
     std::printf("%s%s:m%d:%s", i ? " " : "", tele[i].forward ? "F" : "B",

@@ -18,8 +18,9 @@
 // cover the peer_stage/peer_fetch spans and their evict->stage->fetch flow
 // arrows on the pool-constrained demo geometry.
 //
-// replicas > 1 drives the S x R hybrid grid (per-stage row all-reduces, the
-// exposed-collective surface); replicas == 1 the plain S-stage pipeline.
+// The run is an S x R dist::HybridParallelTrainer grid: replicas > 1 adds
+// per-stage row all-reduces (the exposed-collective surface); replicas == 1
+// is the plain S-stage pipeline.
 // --trace exports the Perfetto-loadable Chrome-trace JSON (wall-clock DMA
 // staging rows included); --metrics exports the analyzer's counters /
 // gauges / stall histogram through the shared util::JsonWriter path.
@@ -46,7 +47,6 @@
 
 #include "bench/common.hpp"
 #include "dist/hybrid_parallel.hpp"
-#include "dist/pipeline_parallel.hpp"
 #include "graph/partitioner.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/cost_profile.hpp"
@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
   double bubble_total = 0.0, bubble_fill = 0.0, bubble_steady = 0.0, bubble_drain = 0.0;
   double exposed_last = 0.0;
 
-  if (replicas > 1) {
+  {
     dist::HybridParallelConfig cfg;
     cfg.stages = stages;
     cfg.replicas = replicas;
@@ -262,31 +262,6 @@ int main(int argc, char** argv) {
     }
     exposed_last = rep.stats.back().allreduce_exposed_seconds;
     hyb.attach_trace(nullptr);
-  } else {
-    dist::PipelineParallelConfig cfg;
-    cfg.stages = stages;
-    cfg.microbatches = microbatches;
-    cfg.global_batch = batch;
-    cfg.schedule = policy;
-    cfg.cluster = sim::nvlink_cluster_spec(stages);
-    cfg.train.iterations = iters;
-    cfg.peer_staging = peer_staging;
-    if (have_profile) cfg.cost_profile = &profile;
-    const core::RuntimeOptions opts = sim_options(cfg.cluster, pool_gb);
-    if (have_profile) {
-      print_partition_comparison(name, batch / microbatches, stages, policy, cfg.cluster,
-                                 opts.device_capacity, profile);
-    }
-    dist::PipelineParallelTrainer pipe(factory, opts, cfg);
-    pipe.attach_trace(&session);
-    auto rep = pipe.run();
-    for (const auto& st : rep.stats) {
-      bubble_total += st.bubble_seconds;
-      bubble_fill += st.bubble_fill_seconds;
-      bubble_steady += st.bubble_steady_seconds;
-      bubble_drain += st.bubble_drain_seconds;
-    }
-    pipe.attach_trace(nullptr);
   }
 
   obs::TraceAnalyzer an(session);
@@ -299,11 +274,9 @@ int main(int argc, char** argv) {
   check("bubble fill", bubble_fill, total.bubble_fill_seconds, &ok);
   check("bubble steady", bubble_steady, total.bubble_steady_seconds, &ok);
   check("bubble drain", bubble_drain, total.bubble_drain_seconds, &ok);
-  if (replicas > 1) {
-    // The exposed-collective scalar is per iteration; the span algebra
-    // anchors on the LAST drain-end marker, so compare the final iteration.
-    check("allreduce exposed (last it)", exposed_last, an.exposed_collective_seconds(), &ok);
-  }
+  // The exposed-collective scalar is per iteration; the span algebra
+  // anchors on the LAST drain-end marker, so compare the final iteration.
+  check("allreduce exposed (last it)", exposed_last, an.exposed_collective_seconds(), &ok);
 
   const auto unmatched = an.unmatched_flows();
   std::printf("flow audit: %zu produced, %zu consumed, %zu unmatched\n", an.flows_produced(),

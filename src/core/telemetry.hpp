@@ -5,6 +5,8 @@
 // of that is captured here rather than printf'd, so tests can assert on it.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -103,8 +105,8 @@ struct IterationStats {
   double d2h_seconds = 0.0;
   double h2d_seconds = 0.0;
 
-  // Collective telemetry, filled by dist::DataParallelTrainer and
-  // dist::HybridParallelTrainer (zero for single-device training).
+  // Collective telemetry, filled by dist::HybridParallelTrainer (zero for
+  // single-device training).
   uint64_t p2p_bytes = 0;          ///< bytes this device sent over peer links
   double allreduce_seconds = 0.0;  ///< device time inside the gradient all-reduce
 
@@ -114,8 +116,8 @@ struct IterationStats {
   /// this — the overlap win the hybrid bench gates on.
   double allreduce_exposed_seconds = 0.0;
 
-  // Pipeline telemetry, filled by dist::PipelineParallelTrainer and
-  // dist::HybridParallelTrainer (zero elsewhere).
+  // Pipeline telemetry, filled by dist::HybridParallelTrainer (zero
+  // elsewhere).
   double p2p_seconds = 0.0;     ///< link seconds occupied by this device's sends
   double bubble_seconds = 0.0;  ///< compute time stalled waiting on a pipeline
                                 ///< neighbor (fill/drain bubbles)
@@ -126,5 +128,84 @@ struct IterationStats {
   double bubble_steady_seconds = 0.0;
   double bubble_drain_seconds = 0.0;
 };
+
+/// How a field of IterationStats combines when several stats fold into one:
+/// a grid cell's forward/backward passes into the cell's iteration, and the
+/// cells into the grid aggregate.
+enum class StatRule {
+  kSum,      ///< additive counters and busy seconds
+  kMax,      ///< peaks and critical-path times
+  kTrainer,  ///< left alone; the trainer sets it (global loss, collective timing)
+};
+
+/// One IterationStats field and its combine rule. Exactly one of the two
+/// member pointers is set.
+struct StatField {
+  const char* name;
+  StatRule rule;
+  double IterationStats::*real = nullptr;
+  uint64_t IterationStats::*count = nullptr;
+};
+
+constexpr StatField stat_field(const char* name, double IterationStats::*m, StatRule rule) {
+  return {name, rule, m, nullptr};
+}
+constexpr StatField stat_field(const char* name, uint64_t IterationStats::*m, StatRule rule) {
+  return {name, rule, nullptr, m};
+}
+
+/// The single declaration of every IterationStats field's combine rule.
+/// Fields a grid cell derives from its machine's counters (seconds,
+/// stall_seconds, p2p_*, bubble_*) are overwritten after the passes combine;
+/// their rule here is the one the grid aggregate uses.
+inline constexpr std::array kStatRules{
+    stat_field("loss", &IterationStats::loss, StatRule::kTrainer),
+    stat_field("loss_sum", &IterationStats::loss_sum, StatRule::kTrainer),
+    stat_field("seconds", &IterationStats::seconds, StatRule::kMax),
+    stat_field("peak_mem", &IterationStats::peak_mem, StatRule::kMax),
+    stat_field("bytes_d2h", &IterationStats::bytes_d2h, StatRule::kSum),
+    stat_field("bytes_h2d", &IterationStats::bytes_h2d, StatRule::kSum),
+    stat_field("extra_forwards", &IterationStats::extra_forwards, StatRule::kSum),
+    stat_field("evictions", &IterationStats::evictions, StatRule::kSum),
+    stat_field("cache_hits", &IterationStats::cache_hits, StatRule::kSum),
+    stat_field("cache_misses", &IterationStats::cache_misses, StatRule::kSum),
+    stat_field("allocs", &IterationStats::allocs, StatRule::kSum),
+    stat_field("malloc_seconds", &IterationStats::malloc_seconds, StatRule::kSum),
+    stat_field("stall_seconds", &IterationStats::stall_seconds, StatRule::kMax),
+    stat_field("host_peak", &IterationStats::host_peak, StatRule::kMax),
+    stat_field("peer_stage_count", &IterationStats::peer_stage_count, StatRule::kSum),
+    stat_field("peer_stage_bytes", &IterationStats::peer_stage_bytes, StatRule::kSum),
+    stat_field("peer_fetch_count", &IterationStats::peer_fetch_count, StatRule::kSum),
+    stat_field("peer_spill_count", &IterationStats::peer_spill_count, StatRule::kSum),
+    stat_field("dma_copies", &IterationStats::dma_copies, StatRule::kSum),
+    stat_field("d2h_seconds", &IterationStats::d2h_seconds, StatRule::kSum),
+    stat_field("h2d_seconds", &IterationStats::h2d_seconds, StatRule::kSum),
+    stat_field("p2p_bytes", &IterationStats::p2p_bytes, StatRule::kSum),
+    stat_field("allreduce_seconds", &IterationStats::allreduce_seconds, StatRule::kTrainer),
+    stat_field("allreduce_exposed_seconds", &IterationStats::allreduce_exposed_seconds,
+               StatRule::kTrainer),
+    stat_field("p2p_seconds", &IterationStats::p2p_seconds, StatRule::kSum),
+    stat_field("bubble_seconds", &IterationStats::bubble_seconds, StatRule::kSum),
+    stat_field("bubble_fill_seconds", &IterationStats::bubble_fill_seconds, StatRule::kSum),
+    stat_field("bubble_steady_seconds", &IterationStats::bubble_steady_seconds, StatRule::kSum),
+    stat_field("bubble_drain_seconds", &IterationStats::bubble_drain_seconds, StatRule::kSum),
+};
+
+// Every field is 8 bytes, so a field added without a rule breaks this.
+static_assert(sizeof(IterationStats) == 8 * kStatRules.size(),
+              "every IterationStats field needs an entry in kStatRules");
+
+/// Fold `x` into `acc` by kStatRules.
+inline void combine_stats(IterationStats& acc, const IterationStats& x) {
+  for (const StatField& f : kStatRules) {
+    if (f.rule == StatRule::kTrainer) continue;
+    const bool sum = f.rule == StatRule::kSum;
+    if (f.real) {
+      acc.*f.real = sum ? acc.*f.real + x.*f.real : std::max(acc.*f.real, x.*f.real);
+    } else {
+      acc.*f.count = sum ? acc.*f.count + x.*f.count : std::max(acc.*f.count, x.*f.count);
+    }
+  }
+}
 
 }  // namespace sn::core

@@ -23,16 +23,7 @@ namespace {
 
 bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
-std::vector<int> identity_ids(int n) {
-  std::vector<int> ids(static_cast<size_t>(n));
-  for (int d = 0; d < n; ++d) ids[static_cast<size_t>(d)] = d;
-  return ids;
-}
-
 }  // namespace
-
-Communicator::Communicator(sim::Cluster& cluster, std::vector<core::TransferEngine*> engines)
-    : Communicator(cluster, identity_ids(cluster.size()), std::move(engines)) {}
 
 Communicator::Communicator(sim::Cluster& cluster, std::vector<int> device_ids,
                            std::vector<core::TransferEngine*> engines)

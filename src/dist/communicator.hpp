@@ -1,10 +1,9 @@
 // dist::Communicator — collective operations over the simulated P2P fabric.
 //
 // A communicator spans a GROUP: any subset of a cluster's devices (rank i of
-// the group lives on device_ids[i]). Whole-cluster communicators are the
-// trivial identity group (dist::DataParallelTrainer); hybrid parallelism
-// builds one communicator per pipeline stage over that stage's replica
-// devices, so collectives within different stages ride disjoint links.
+// the group lives on device_ids[i]). dist::HybridParallelTrainer builds one
+// communicator per pipeline stage over that stage's replica devices, so
+// collectives within different stages ride disjoint links.
 //
 // Two all-reduce algorithms implement the same in-place sum contract:
 //
@@ -75,12 +74,7 @@ struct AllreduceHandle {
 
 class Communicator {
  public:
-  /// Whole-cluster group: `engines[d]` must be device d's TransferEngine on
-  /// `cluster`'s machine d. Equivalent to the sub-group ctor with the
-  /// identity device list.
-  Communicator(sim::Cluster& cluster, std::vector<core::TransferEngine*> engines);
-
-  /// Sub-group: rank i lives on cluster device `device_ids[i]` and sends
+  /// Rank i lives on cluster device `device_ids[i]` and sends
   /// through `engines[i]` (which must belong to that device). Device ids
   /// must be distinct; they need not be contiguous or sorted — a pipeline
   /// stage's replica group is whatever the grid says it is.

@@ -7,15 +7,33 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "dist/trainer_common.hpp"
 #include "util/pairwise.hpp"
 
 namespace sn::dist {
 
-using detail::accumulate;
-using detail::classes_of;
-using detail::layer_by_name;
-using detail::sample_shape_of;
+namespace {
+
+tensor::Shape sample_shape_of(const graph::Net& net) {
+  tensor::Shape s = net.input_layer()->out_shape();
+  s.n = 1;
+  return s;
+}
+
+/// Class count for the synthetic dataset; stage nets without a loss layer
+/// (every pipeline stage but the last) fall back to a placeholder.
+int classes_of(const graph::Net& net) {
+  const graph::Layer* loss = net.loss_layer();
+  return loss ? static_cast<int>(loss->out_shape().c) : 2;
+}
+
+graph::Layer* layer_by_name(graph::Net& net, const std::string& name) {
+  for (const auto& l : net.layers()) {
+    if (l->name() == name) return l.get();
+  }
+  throw std::logic_error("dist: stage net lost layer " + name);
+}
+
+}  // namespace
 
 HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
                                              core::RuntimeOptions base,
@@ -307,6 +325,26 @@ void HybridParallelTrainer::retire_streams(bool force) {
   }
 }
 
+void HybridParallelTrainer::combine_microbatch_grads(int s, int r) {
+  const size_t c = cell(s, r);
+  util::PairwiseVecAccumulator acc(static_cast<size_t>(grad_elems_[static_cast<size_t>(s)]));
+  for (auto& snap : grad_stash_[c]) {
+    // push() consumes the leaf in place; the stash is fully rewritten by
+    // next iteration's snapshots.
+    acc.push(snap.data());
+  }
+  acc.finish(fused_[c].data());
+}
+
+void HybridParallelTrainer::scatter_fused_grads(int s, int r) {
+  const size_t c = cell(s, r);
+  uint64_t off = 0;
+  for (tensor::Tensor* g : grads_[c]) {
+    std::memcpy(device_ptr(s, r, g), fused_[c].data() + off, g->bytes());
+    off += static_cast<uint64_t>(g->shape().elems());
+  }
+}
+
 HybridParallelReport HybridParallelTrainer::run() {
   HybridParallelReport report;
   const int S = cfg_.stages, R = cfg_.replicas, M = cfg_.microbatches;
@@ -369,8 +407,10 @@ HybridParallelReport HybridParallelTrainer::run() {
             const double op_v0 = grid_.machine(s, r).now();
             runtimes_[c]->set_schedule_phase(static_cast<int>(op.phase), m);
             // Physical write-after-read gate: the forward overwrites out_t_,
-            // which an in-flight activation send may still be reading (see
-            // pipeline_parallel.cpp — 1F1B only; a no-op under GPipe).
+            // which an in-flight activation send's DMA read may still be
+            // feeding (1F1B only; a no-op under GPipe). The worker queue is
+            // FIFO, so landing the newest outstanding tag lands them all.
+            // Wall-clock only: virtual time and the schedule are untouched.
             if (s + 1 < S && !act_q_[cell(s + 1, r)].empty()) {
               engine(s, r).await_landing(core::TransferDir::kP2P,
                                          act_q_[cell(s + 1, r)].back().second);
@@ -380,7 +420,7 @@ HybridParallelReport HybridParallelTrainer::run() {
             }
             core::IterationStats f =
                 runtimes_[c]->forward_pass(stage_input(s, r, m), stage_labels(s, r, m));
-            accumulate(cell_st[c], f);
+            core::combine_stats(cell_st[c], f);
             if (s == S - 1) {
               loss_sums[static_cast<size_t>(r)][static_cast<size_t>(m)] = f.loss_sum;
             }
@@ -423,13 +463,13 @@ HybridParallelReport HybridParallelTrainer::run() {
               }
               core::IterationStats rf =
                   runtimes_[c]->forward_pass(stage_input(s, r, m), stage_labels(s, r, m));
-              accumulate(cell_st[c], rf);
+              core::combine_stats(cell_st[c], rf);
             }
             if (s + 1 < S) {
               bubble_ph[c][ph] += receive_gradient(s, r, static_cast<int>(op.phase), m);
             }
             core::IterationStats b = runtimes_[c]->backward_pass(stage_labels(s, r, m));
-            accumulate(cell_st[c], b);
+            core::combine_stats(cell_st[c], b);
             if (s + 1 < S) runtimes_[c]->mark_external_pending(out_grad_t_[c]);
             if (s > 0) {
               send_gradient(s, r);
@@ -463,16 +503,7 @@ HybridParallelReport HybridParallelTrainer::run() {
           // Consecutive buckets chain on the row Communicator.
           const uint64_t elems = grad_elems_[static_cast<size_t>(s)];
           if (op.bucket == 0 && real_ && elems > 0) {
-            for (int r = 0; r < R; ++r) {
-              const size_t c = cell(s, r);
-              util::PairwiseVecAccumulator acc(static_cast<size_t>(elems));
-              for (int mm = 0; mm < M; ++mm) {
-                // push() consumes the leaf in place; the stash is fully
-                // rewritten by next iteration's snapshots.
-                acc.push(grad_stash_[c][static_cast<size_t>(mm)].data());
-              }
-              acc.finish(fused_[c].data());
-            }
+            for (int r = 0; r < R; ++r) combine_microbatch_grads(s, r);
           }
           // Even split, front-loaded remainder — same carving as the ring
           // algorithm's chunks. Bucketing is element-wise bit-identical to
@@ -549,13 +580,7 @@ HybridParallelReport HybridParallelTrainer::run() {
       for (int s = 0; s < S; ++s) {
         for (int r = 0; r < R; ++r) {
           const size_t c = cell(s, r);
-          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
-            uint64_t off = 0;
-            for (tensor::Tensor* g : grads_[c]) {
-              std::memcpy(device_ptr(s, r, g), fused_[c].data() + off, g->bytes());
-              off += static_cast<uint64_t>(g->shape().elems());
-            }
-          }
+          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) scatter_fused_grads(s, r);
           runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
           runtimes_[c]->advance_iteration();
         }
@@ -567,16 +592,8 @@ HybridParallelReport HybridParallelTrainer::run() {
         std::vector<float*> bufs(static_cast<size_t>(R), nullptr);
         if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
           for (int r = 0; r < R; ++r) {
-            const size_t c = cell(s, r);
-            util::PairwiseVecAccumulator acc(
-                static_cast<size_t>(grad_elems_[static_cast<size_t>(s)]));
-            for (int m = 0; m < M; ++m) {
-              // push() consumes the leaf in place; the stash is fully
-              // rewritten by next iteration's snapshots.
-              acc.push(grad_stash_[c][static_cast<size_t>(m)].data());
-            }
-            acc.finish(fused_[c].data());
-            bufs[static_cast<size_t>(r)] = fused_[c].data();
+            combine_microbatch_grads(s, r);
+            bufs[static_cast<size_t>(r)] = fused_[cell(s, r)].data();
           }
         }
         AllreduceStats ar = comms_[static_cast<size_t>(s)]->allreduce_sum(
@@ -588,13 +605,7 @@ HybridParallelReport HybridParallelTrainer::run() {
         for (int r = 0; r < R; ++r) {
           const size_t c = cell(s, r);
           cell_st[c].allreduce_seconds = ar.device_seconds[static_cast<size_t>(r)];
-          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
-            uint64_t off = 0;
-            for (tensor::Tensor* g : grads_[c]) {
-              std::memcpy(device_ptr(s, r, g), fused_[c].data() + off, g->bytes());
-              off += static_cast<uint64_t>(g->shape().elems());
-            }
-          }
+          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) scatter_fused_grads(s, r);
           runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
           runtimes_[c]->advance_iteration();
         }
@@ -641,27 +652,7 @@ HybridParallelReport HybridParallelTrainer::run() {
         st.bubble_seconds = bubble_ph[c][0] + bubble_ph[c][1] + bubble_ph[c][2];
         st.p2p_bytes = c1.bytes_p2p - c0[c].bytes_p2p;
         st.p2p_seconds = c1.seconds_p2p - c0[c].seconds_p2p;
-
-        agg.seconds = std::max(agg.seconds, st.seconds);
-        agg.stall_seconds = std::max(agg.stall_seconds, st.stall_seconds);
-        agg.bubble_seconds += st.bubble_seconds;
-        agg.bubble_fill_seconds += st.bubble_fill_seconds;
-        agg.bubble_steady_seconds += st.bubble_steady_seconds;
-        agg.bubble_drain_seconds += st.bubble_drain_seconds;
-        agg.peak_mem = std::max(agg.peak_mem, st.peak_mem);
-        agg.host_peak = std::max(agg.host_peak, st.host_peak);
-        agg.p2p_bytes += st.p2p_bytes;
-        agg.p2p_seconds += st.p2p_seconds;
-        agg.bytes_d2h += st.bytes_d2h;
-        agg.bytes_h2d += st.bytes_h2d;
-        agg.evictions += st.evictions;
-        agg.peer_stage_count += st.peer_stage_count;
-        agg.peer_stage_bytes += st.peer_stage_bytes;
-        agg.peer_fetch_count += st.peer_fetch_count;
-        agg.peer_spill_count += st.peer_spill_count;
-        agg.extra_forwards += st.extra_forwards;
-        agg.allocs += st.allocs;
-        agg.dma_copies += st.dma_copies;
+        core::combine_stats(agg, st);
         grid_st[static_cast<size_t>(s)][static_cast<size_t>(r)] = st;
       }
     }

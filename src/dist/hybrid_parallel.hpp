@@ -15,26 +15,45 @@
 //
 // Each global batch is split across the R replica columns (contiguous
 // shards, like data parallelism), and each shard into M microbatches driven
-// through the column's GPipe fill/drain schedule (like pipeline
-// parallelism): activations/gradients stream between corresponding stage
-// replicas — cell (s, r) talks only to (s±1, r) — via
-// TransferEngine::submit_p2p, gated on virtual landing events exactly as in
-// dist::PipelineParallelTrainer (re-materialization at drain, per-microbatch
-// pairwise gradient combination). After the drain, each stage's R replicas
-// all-reduce their fused gradients over a SUB-GROUP Communicator spanning
-// just that stage's row — S independent collectives on disjoint links — and
-// then every cell steps SGD.
+// through the column schedule of dist::ScheduleEngine (like pipeline
+// parallelism). Activations and gradients stream between corresponding
+// stage replicas — cell (s, r) talks only to (s±1, r) — via
+// TransferEngine::submit_p2p; a cell's forward for microbatch m is gated on
+// the virtual landing event of that activation, so fill ramps and their
+// bubbles fall out of virtual time. The SchedulePolicy picks the op order:
 //
-// Bit-parity: a replica's pairwise-combined microbatch gradient is one
-// contiguous-shard subtree of the full-batch reduction; the per-stage
-// all-reduce (kAuto: recursive halving-doubling for power-of-two R) combines
-// the R subtrees in ascending rank order — the same binary-counter pairwise
-// tree a single device builds. So S x R x M training is bit-identical
-// (losses AND weights) to single-device training on the combined batch for
-// power-of-two microbatch geometry — the paper's "scheduling never changes
-// training results" invariant, extended across BOTH cluster axes at once.
-// Same restriction as the 1D trainers: per-sample kernels only (no BatchNorm
-// batch statistics, no dropout).
+//   kGPipe: fill (every stage forwards microbatch 0..M-1), then drain
+//          (microbatches retire newest-first; a stage re-materializes older
+//          forwards from its stashed boundary input, receives the output
+//          gradient, runs backward and streams the input gradient
+//          upstream). After the drain, each stage's R replicas all-reduce
+//          their fused gradients synchronously.
+//   k1F1B: PipeDream-flush — warmup forwards, one-forward-one-backward
+//          steady state (backwards retire in ascending microbatch order),
+//          then cooldown. Smaller bubble, and the stash holds at most
+//          min(M, S-s+1) microbatch inputs instead of all M. Each stage's
+//          fused gradient all-reduces in buckets, issued asynchronously as
+//          its last microbatch retires, overlapping the upstream drain.
+//
+// The all-reduce runs over a SUB-GROUP Communicator spanning just that
+// stage's row — S independent collectives on disjoint links — and then
+// every cell steps SGD. S=1 is microbatched data parallelism (no P2P
+// streams, one row all-reduce); R=1 is the plain pipeline (the one-rank
+// collective is a no-op).
+//
+// Bit-parity: per-microbatch gradients are snapshotted and combined with
+// the binary-counter pairwise machinery (util/pairwise.hpp) in ascending
+// microbatch order REGARDLESS of backward execution order, so a replica's
+// combined gradient is one contiguous-shard subtree of the full-batch
+// reduction; the per-stage all-reduce (kAuto: recursive halving-doubling
+// for power-of-two R) combines the R subtrees in ascending rank order — the
+// same binary-counter pairwise tree a single device builds. So S x R x M
+// training is bit-identical (losses AND weights) to single-device training
+// on the combined batch for power-of-two microbatch geometry, under both
+// policies — the paper's "scheduling never changes training results"
+// invariant, extended across BOTH cluster axes at once. The restriction:
+// per-sample kernels only (no BatchNorm batch statistics, no dropout —
+// both couple results to a sample's position inside the local batch).
 //
 // Determinism: the trainer is single-threaded; every cross-cell dependency
 // is an explicit virtual event (receivers machine-wait it; wall-clock bytes
@@ -167,6 +186,11 @@ class HybridParallelTrainer {
   /// Retire sender-side bookkeeping of streamed transfers (opportunistic;
   /// forced at iteration end).
   void retire_streams(bool force);
+  /// Pairwise-combine cell (s, r)'s per-microbatch gradient snapshots, in
+  /// ascending microbatch order, into its fused buffer (real mode).
+  void combine_microbatch_grads(int s, int r);
+  /// Copy cell (s, r)'s all-reduced fused buffer back into its param grads.
+  void scatter_fused_grads(int s, int r);
 
   HybridParallelConfig cfg_;
   bool real_;

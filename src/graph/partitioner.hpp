@@ -1,7 +1,7 @@
 // NetPartitioner: cut a Net's route into contiguous pipeline stages.
 //
-// Pipeline parallelism (dist::PipelineParallelTrainer) places each stage on
-// its own cluster device and streams the boundary activation forward (and
+// Pipeline parallelism (dist::HybridParallelTrainer's stage rows) places
+// each stage on its own cluster device and streams the boundary activation forward (and
 // its gradient backward) over the P2P fabric. A cut position is *valid* only
 // when exactly ONE layer's output crosses it — the stage boundary must be a
 // single tensor, or the downstream stage would need several synthetic

@@ -1,7 +1,6 @@
 #include "util/threadpool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace sn::util {
 
@@ -52,7 +51,10 @@ void ThreadPool::parallel_for(size_t begin, size_t end, const std::function<void
     return;
   }
 
-  std::atomic<size_t> remaining{nthreads};
+  // `remaining`, `done_mu` and `done_cv` live on this frame. The last worker
+  // must decrement and notify while holding done_mu: once it releases the
+  // lock, the caller may see zero, return, and destroy all three.
+  size_t remaining = nthreads;
   std::mutex done_mu;
   std::condition_variable done_cv;
   size_t chunk = (range + nthreads - 1) / nthreads;
@@ -64,17 +66,15 @@ void ThreadPool::parallel_for(size_t begin, size_t end, const std::function<void
       size_t hi = std::min(end, lo + chunk);
       tasks_.push([&, lo, hi] {
         for (size_t i = lo; i < hi; ++i) fn(i);
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> dl(done_mu);
-          done_cv.notify_one();
-        }
+        std::lock_guard<std::mutex> dl(done_mu);
+        if (--remaining == 0) done_cv.notify_one();
       });
     }
   }
   cv_.notify_all();
 
   std::unique_lock<std::mutex> dl(done_mu);
-  done_cv.wait(dl, [&] { return remaining.load() == 0; });
+  done_cv.wait(dl, [&] { return remaining == 0; });
 }
 
 ThreadPool& ThreadPool::global() {

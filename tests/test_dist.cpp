@@ -1,6 +1,7 @@
-// dist/ subsystem tests: ring all-reduce numerics, data-parallel training
-// parity (the flagship multi-device invariant: sharding a batch across
-// replicas never changes training results), and collective telemetry.
+// dist/ subsystem tests: all-reduce numerics and sub-groups, and the
+// collective telemetry of a pure data-parallel (1 x R) grid. Data-parallel
+// training parity (sharding a batch across replicas never changes training
+// results) runs on 1 x R inputs of the grid parity cases in test_hybrid.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +9,7 @@
 #include <vector>
 
 #include "dist/communicator.hpp"
-#include "dist/data_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "train/trainer.hpp"
 #include "util/pairwise.hpp"
@@ -30,12 +31,14 @@ std::vector<std::vector<float>> random_buffers(int devices, uint64_t elems, uint
 
 std::unique_ptr<dist::Communicator> make_comm(sim::Cluster& cluster,
                                               std::vector<std::unique_ptr<core::TransferEngine>>& engines) {
+  std::vector<int> ids;
   std::vector<core::TransferEngine*> ptrs;
   for (int d = 0; d < cluster.size(); ++d) {
     engines.push_back(std::make_unique<core::TransferEngine>(cluster.machine(d), true, d));
+    ids.push_back(d);
     ptrs.push_back(engines.back().get());
   }
-  return std::make_unique<dist::Communicator>(cluster, std::move(ptrs));
+  return std::make_unique<dist::Communicator>(cluster, std::move(ids), std::move(ptrs));
 }
 
 TEST(Communicator, RingAllreduceMatchesSerialReduction) {
@@ -221,208 +224,44 @@ TEST(Pairwise, ShardSumsComposeToFullSum) {
 }
 
 // ---------------------------------------------------------------------------
-// Data-parallel training
-
-core::RuntimeOptions parity_options() {
-  core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
-  o.real = true;
-  o.device_capacity = 32ull << 20;
-  // Pin convolutions to the workspace-free algorithm: the dynamic choice
-  // depends on free device memory, which legitimately differs between a
-  // batch-B and a batch-B/2 run.
-  o.allow_workspace = false;
-  return o;
-}
-
-train::TrainConfig parity_train_config(int iterations) {
-  train::TrainConfig tc;
-  tc.iterations = iterations;
-  tc.lr = 0.05f;
-  tc.momentum = 0.9f;
-  return tc;
-}
-
-TEST(DataParallel, TwoDevicesMatchSingleDeviceBitForBit) {
-  const int kGlobalBatch = 8, kIters = 5;
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-  train::TrainConfig tc = parity_train_config(kIters);
-
-  // Single device, combined batch.
-  auto net = factory(kGlobalBatch);
-  core::Runtime rt(*net, o);
-  train::Trainer trainer(rt, tc);
-  auto single = trainer.run();
-
-  // Two devices, sharded batch.
-  dist::DataParallelConfig cfg;
-  cfg.devices = 2;
-  cfg.global_batch = kGlobalBatch;
-  cfg.cluster = sim::pcie_cluster_spec(2);
-  cfg.train = tc;
-  dist::DataParallelTrainer dp(factory, o, cfg);
-  auto multi = dp.run();
-
-  ASSERT_EQ(single.losses.size(), multi.losses.size());
-  for (size_t i = 0; i < single.losses.size(); ++i) {
-    EXPECT_EQ(single.losses[i], multi.losses[i]) << "iteration " << i;
-  }
-
-  // Weights end bit-identical too — on every replica.
-  const auto& single_layers = rt.net().layers();
-  for (int d = 0; d < 2; ++d) {
-    core::Runtime& rep = dp.runtime(d);
-    const auto& rep_layers = rep.net().layers();
-    ASSERT_EQ(single_layers.size(), rep_layers.size());
-    for (size_t li = 0; li < single_layers.size(); ++li) {
-      const auto& sp = single_layers[li]->params();
-      const auto& rp = rep_layers[li]->params();
-      ASSERT_EQ(sp.size(), rp.size());
-      for (size_t pi = 0; pi < sp.size(); ++pi) {
-        EXPECT_EQ(rt.read_tensor(sp[pi]), rep.read_tensor(rp[pi]))
-            << "device " << d << " param " << sp[pi]->name();
-      }
-    }
-  }
-}
-
-TEST(DataParallel, FourDevicesMatchSingleDeviceBitForBit) {
-  // The ROADMAP's exact-N>=4 item: with the halving-doubling collective
-  // (kAuto picks it for power-of-two groups) 4-replica training reproduces
-  // the single-device pairwise tree exactly — losses AND weights.
-  const int kGlobalBatch = 8, kIters = 4;
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-  train::TrainConfig tc = parity_train_config(kIters);
-
-  auto net = factory(kGlobalBatch);
-  core::Runtime rt(*net, o);
-  train::Trainer trainer(rt, tc);
-  auto single = trainer.run();
-
-  dist::DataParallelConfig cfg;
-  cfg.devices = 4;
-  cfg.global_batch = kGlobalBatch;
-  cfg.cluster = sim::pcie_cluster_spec(4);
-  cfg.train = tc;
-  dist::DataParallelTrainer dp(factory, o, cfg);
-  auto multi = dp.run();
-
-  ASSERT_EQ(single.losses.size(), multi.losses.size());
-  for (size_t i = 0; i < single.losses.size(); ++i) {
-    EXPECT_EQ(single.losses[i], multi.losses[i]) << "iteration " << i;
-  }
-  const auto& single_layers = rt.net().layers();
-  for (int d = 0; d < 4; ++d) {
-    core::Runtime& rep = dp.runtime(d);
-    const auto& rep_layers = rep.net().layers();
-    for (size_t li = 0; li < single_layers.size(); ++li) {
-      const auto& sp = single_layers[li]->params();
-      const auto& rp = rep_layers[li]->params();
-      for (size_t pi = 0; pi < sp.size(); ++pi) {
-        EXPECT_EQ(rt.read_tensor(sp[pi]), rep.read_tensor(rp[pi]))
-            << "device " << d << " param " << sp[pi]->name();
-      }
-    }
-  }
-}
-
-TEST(DataParallel, LossDecreasesAndReplicasStayInLockstep) {
-  auto factory = [](int batch) { return graph::build_tiny_fanjoin(batch); };
-  core::RuntimeOptions o = parity_options();
-  dist::DataParallelConfig cfg;
-  cfg.devices = 2;
-  cfg.global_batch = 8;
-  cfg.cluster = sim::nvlink_cluster_spec(2);
-  cfg.train = parity_train_config(12);
-  dist::DataParallelTrainer dp(factory, o, cfg);
-  auto report = dp.run();
-  EXPECT_LT(report.last_loss(), report.first_loss());
-
-  const auto& l0 = dp.runtime(0).net().layers();
-  const auto& l1 = dp.runtime(1).net().layers();
-  for (size_t li = 0; li < l0.size(); ++li) {
-    const auto& p0 = l0[li]->params();
-    const auto& p1 = l1[li]->params();
-    for (size_t pi = 0; pi < p0.size(); ++pi) {
-      EXPECT_EQ(dp.runtime(0).read_tensor(p0[pi]), dp.runtime(1).read_tensor(p1[pi]));
-    }
-  }
-}
-
-TEST(DataParallel, MemoryPressureDoesNotChangeLosses) {
-  // The single-GPU invariant, lifted to the cluster: squeezing device
-  // capacity (forcing offload/eviction inside each replica) must not change
-  // data-parallel training results.
-  auto run = [](uint64_t capacity) {
-    auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
-    core::RuntimeOptions o = parity_options();
-    o.device_capacity = capacity;
-    dist::DataParallelConfig cfg;
-    cfg.devices = 2;
-    cfg.global_batch = 8;
-    cfg.cluster = sim::pcie_cluster_spec(2);
-    cfg.train = parity_train_config(6);
-    dist::DataParallelTrainer dp(factory, o, cfg);
-    return dp.run().losses;
-  };
-  EXPECT_EQ(run(64ull << 20), run(1ull << 20));
-}
+// Data-parallel (1 x R) grid
 
 TEST(DataParallel, CollectiveTelemetryIsVisible) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-  dist::DataParallelConfig cfg;
-  cfg.devices = 4;
+  core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
+  o.real = true;
+  o.device_capacity = 32ull << 20;
+  o.allow_workspace = false;
+  dist::HybridParallelConfig cfg;
+  cfg.stages = 1;
+  cfg.replicas = 4;
+  cfg.microbatches = 1;
   cfg.global_batch = 8;
   cfg.cluster = sim::nvlink_cluster_spec(4);
-  cfg.train = parity_train_config(2);
-  dist::DataParallelTrainer dp(factory, o, cfg);
+  cfg.train.iterations = 2;
+  cfg.train.lr = 0.05f;
+  cfg.train.momentum = 0.9f;
+  dist::HybridParallelTrainer dp(factory, o, cfg);
   auto report = dp.run();
 
   ASSERT_EQ(report.stats.size(), 2u);
-  ASSERT_EQ(report.device_stats[0].size(), 4u);
+  ASSERT_EQ(report.cell_stats[0].size(), 1u);
+  ASSERT_EQ(report.cell_stats[0][0].size(), 4u);
   for (const auto& agg : report.stats) {
     EXPECT_GT(agg.p2p_bytes, 0u);
     EXPECT_GT(agg.allreduce_seconds, 0.0);
     EXPECT_GT(agg.seconds, 0.0);
+    // No pipeline neighbors, so nothing can stall on one.
+    EXPECT_EQ(agg.bubble_seconds, 0.0);
   }
-  for (const auto& st : report.device_stats[0]) {
+  for (const auto& st : report.cell_stats[0][0]) {
     EXPECT_GT(st.p2p_bytes, 0u);
     EXPECT_GT(st.allreduce_seconds, 0.0);
   }
   // Per-step telemetry is attributed to its device and replica column.
-  EXPECT_EQ(dp.runtime(3).step_telemetry().front().device_id, 3);
-  EXPECT_EQ(dp.runtime(3).step_telemetry().front().replica, 3);
-  EXPECT_EQ(dp.runtime(3).step_telemetry().front().stage, 0);
-}
-
-TEST(DataParallel, SimModeScalesOut) {
-  // Pure simulation (no backing): paper-scale replicas still schedule, and
-  // the collective advances virtual time.
-  auto factory = [](int batch) { return graph::build_mini_alexnet(batch); };
-  core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
-  o.real = false;
-  dist::DataParallelConfig cfg;
-  cfg.devices = 4;
-  cfg.global_batch = 64;
-  cfg.cluster = sim::nvlink_cluster_spec(4);
-  cfg.train = parity_train_config(2);
-  dist::DataParallelTrainer dp(factory, o, cfg);
-  auto report = dp.run();
-  EXPECT_EQ(report.losses[0], 0.0);  // unbacked: no numerics
-  EXPECT_GT(report.stats[0].seconds, 0.0);
-  EXPECT_GT(report.stats[0].p2p_bytes, 0u);
-}
-
-TEST(DataParallel, RejectsIndivisibleBatch) {
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-  dist::DataParallelConfig cfg;
-  cfg.devices = 3;
-  cfg.global_batch = 8;
-  cfg.train = parity_train_config(1);
-  EXPECT_THROW(dist::DataParallelTrainer(factory, o, cfg), std::invalid_argument);
+  EXPECT_EQ(dp.runtime(0, 3).step_telemetry().front().device_id, 3);
+  EXPECT_EQ(dp.runtime(0, 3).step_telemetry().front().replica, 3);
+  EXPECT_EQ(dp.runtime(0, 3).step_telemetry().front().stage, 0);
 }
 
 }  // namespace

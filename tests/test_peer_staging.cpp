@@ -19,7 +19,7 @@
 
 #include "core/peer_staging.hpp"
 #include "core/tensor_pool.hpp"
-#include "dist/pipeline_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "sim/cluster.hpp"
 #include "train/trainer.hpp"
@@ -242,9 +242,10 @@ TEST(PeerStaging, AsyncFetchBackLandsOnTheDmaThreadAndSpillSkipsIt) {
 /// Pool-constrained asymmetric pipeline: the explicit cut leaves stage 0 far
 /// over its 768 KB pool (constant eviction traffic) while stage 1 has slack
 /// to donate — the geometry the peer router exists for.
-dist::PipelineParallelConfig staged_pipeline_config(bool staging, uint64_t budget) {
-  dist::PipelineParallelConfig cfg;
+dist::HybridParallelConfig staged_pipeline_config(bool staging, uint64_t budget) {
+  dist::HybridParallelConfig cfg;
   cfg.stages = 2;
+  cfg.replicas = 1;
   cfg.microbatches = 4;
   cfg.global_batch = 32;
   cfg.boundaries = {9};
@@ -270,17 +271,17 @@ core::RuntimeOptions pressured_options() {
 TEST(PeerStaging, TrainerNumericsAreBitIdenticalAcrossStagingModes) {
   auto factory = [](int batch) { return graph::build_mini_alexnet(batch); };
   auto run = [&](bool staging, uint64_t budget) {
-    dist::PipelineParallelTrainer pipe(factory, pressured_options(),
-                                       staged_pipeline_config(staging, budget));
+    dist::HybridParallelTrainer pipe(factory, pressured_options(),
+                                     staged_pipeline_config(staging, budget));
     auto rep = pipe.run();
     uint64_t staged = 0, stat_staged = 0;
     for (int s = 0; s < pipe.stages(); ++s) {
-      staged += pipe.runtime(s).tensor_pool().peer_stage_count();
+      staged += pipe.runtime(s, 0).tensor_pool().peer_stage_count();
       // Engines end every iteration drained.
-      EXPECT_EQ(pipe.runtime(s).transfer_engine().pending_count(TransferDir::kP2P), 0u);
+      EXPECT_EQ(pipe.runtime(s, 0).transfer_engine().pending_count(TransferDir::kP2P), 0u);
     }
-    for (const auto& it : rep.stage_stats) {
-      for (const auto& st : it) stat_staged += st.peer_stage_count;
+    for (const auto& it : rep.cell_stats) {
+      for (const auto& row : it) stat_staged += row[0].peer_stage_count;
     }
     EXPECT_EQ(staged, stat_staged) << "IterationStats lost staging events";
     return std::tuple(rep.losses, staged, rep.stats.back().seconds);

@@ -1,17 +1,16 @@
-// PipelineParallelTrainer tests. Flagship invariant: cutting a net across
-// pool-backed pipeline stages and microbatching the batch NEVER changes
-// training results — 2-stage x M-microbatch training is bit-identical to a
-// single-device run over the combined batch (losses AND weights), extending
-// the paper's "memory scheduling never changes training results" across the
-// P2P fabric. Plus: fill/drain bubble telemetry, memory-pressure
-// invariance inside stages, explicit boundaries, and sim-mode scale-out.
+// Pure-pipeline (S x 1) grid tests: microbatch-count invariance, deep
+// pipes, explicit boundaries, fill/drain bubble telemetry and its phase
+// split, the 1F1B stash and bubble wins, and peer staging under 1F1B.
+// Single-device parity on S x 1 grids runs as inputs of the grid parity
+// cases in test_hybrid.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <tuple>
 #include <vector>
 
-#include "dist/pipeline_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "train/trainer.hpp"
 
@@ -38,10 +37,12 @@ train::TrainConfig parity_train_config(int iterations) {
   return tc;
 }
 
-dist::PipelineParallelConfig pipe_config(int stages, int microbatches, int global_batch,
-                                         int iterations) {
-  dist::PipelineParallelConfig cfg;
+/// An S x 1 grid: the plain pipeline.
+dist::HybridParallelConfig pipe_config(int stages, int microbatches, int global_batch,
+                                       int iterations) {
+  dist::HybridParallelConfig cfg;
   cfg.stages = stages;
+  cfg.replicas = 1;
   cfg.microbatches = microbatches;
   cfg.global_batch = global_batch;
   cfg.cluster = sim::pcie_cluster_spec(stages);
@@ -49,48 +50,12 @@ dist::PipelineParallelConfig pipe_config(int stages, int microbatches, int globa
   return cfg;
 }
 
-void expect_params_match(core::Runtime& single, dist::PipelineParallelTrainer& pipe) {
-  // Every stage parameter must end bit-identical to its full-net namesake.
-  for (int s = 0; s < pipe.stages(); ++s) {
-    core::Runtime& rt = pipe.runtime(s);
-    for (const auto& l : rt.net().layers()) {
-      for (const auto* p : l->params()) {
-        const tensor::Tensor* ref = nullptr;
-        for (const auto& ol : single.net().layers()) {
-          for (const auto* op : ol->params()) {
-            if (op->name() == p->name()) ref = op;
-          }
-        }
-        ASSERT_NE(ref, nullptr) << p->name();
-        EXPECT_EQ(single.read_tensor(ref), rt.read_tensor(p))
-            << "stage " << s << " param " << p->name();
-      }
-    }
-  }
-}
-
-TEST(PipelineParallel, TwoStagesFourMicrobatchesMatchSingleDeviceBitForBit) {
-  const int kGlobalBatch = 8, kMicrobatches = 4, kIters = 5;
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-  train::TrainConfig tc = parity_train_config(kIters);
-
-  // Single device, combined batch.
-  auto net = factory(kGlobalBatch);
-  core::Runtime rt(*net, o);
-  train::Trainer trainer(rt, tc);
-  auto single = trainer.run();
-
-  // Two pipeline stages, microbatched.
-  dist::PipelineParallelTrainer pipe(factory, o,
-                                     pipe_config(2, kMicrobatches, kGlobalBatch, kIters));
-  auto piped = pipe.run();
-
-  ASSERT_EQ(single.losses.size(), piped.losses.size());
-  for (size_t i = 0; i < single.losses.size(); ++i) {
-    EXPECT_EQ(single.losses[i], piped.losses[i]) << "iteration " << i;
-  }
-  expect_params_match(rt, pipe);
+/// Per-stage stats of one iteration's cell_stats on an S x 1 grid.
+std::vector<core::IterationStats> stage_stats(
+    const std::vector<std::vector<core::IterationStats>>& grid) {
+  std::vector<core::IterationStats> out;
+  for (const auto& row : grid) out.push_back(row[0]);
+  return out;
 }
 
 TEST(PipelineParallel, MicrobatchCountDoesNotChangeResults) {
@@ -98,52 +63,20 @@ TEST(PipelineParallel, MicrobatchCountDoesNotChangeResults) {
   // reduction: M=2 and M=4 must produce identical trajectories.
   auto run = [&](int microbatches) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-    dist::PipelineParallelTrainer pipe(factory, parity_options(),
-                                       pipe_config(2, microbatches, 8, 4));
+    dist::HybridParallelTrainer pipe(factory, parity_options(),
+                                     pipe_config(2, microbatches, 8, 4));
     return pipe.run().losses;
   };
   EXPECT_EQ(run(2), run(4));
 }
 
-TEST(PipelineParallel, FanJoinNetMatchesSingleDevice) {
-  const int kGlobalBatch = 8, kIters = 4;
-  auto factory = [](int batch) { return graph::build_tiny_fanjoin(batch); };
-  core::RuntimeOptions o = parity_options();
-  auto net = factory(kGlobalBatch);
-  core::Runtime rt(*net, o);
-  train::Trainer trainer(rt, parity_train_config(kIters));
-  auto single = trainer.run();
-
-  dist::PipelineParallelTrainer pipe(factory, o, pipe_config(2, 2, kGlobalBatch, kIters));
-  auto piped = pipe.run();
-  ASSERT_EQ(single.losses.size(), piped.losses.size());
-  for (size_t i = 0; i < single.losses.size(); ++i) {
-    EXPECT_EQ(single.losses[i], piped.losses[i]) << "iteration " << i;
-  }
-  EXPECT_LT(piped.last_loss(), piped.first_loss());
-}
-
 TEST(PipelineParallel, ThreeStagesTrainAndLearn) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), pipe_config(3, 4, 8, 10));
+  dist::HybridParallelTrainer pipe(factory, parity_options(), pipe_config(3, 4, 8, 10));
   auto rep = pipe.run();
   EXPECT_LT(rep.last_loss(), rep.first_loss());
   // All three stages moved activations/gradients over the fabric.
-  for (const auto& st : rep.stage_stats.back()) EXPECT_GT(st.p2p_bytes, 0u);
-}
-
-TEST(PipelineParallel, MemoryPressureInsideStagesDoesNotChangeLosses) {
-  // The paper's invariant, lifted across the pipeline: squeezing each
-  // stage's pool (forcing offload/eviction/recompute inside stages) must
-  // not change training results.
-  auto run = [](uint64_t capacity) {
-    auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
-    core::RuntimeOptions o = parity_options();
-    o.device_capacity = capacity;
-    dist::PipelineParallelTrainer pipe(factory, o, pipe_config(2, 2, 8, 5));
-    return pipe.run().losses;
-  };
-  EXPECT_EQ(run(64ull << 20), run(1ull << 20));
+  for (const auto& st : stage_stats(rep.cell_stats.back())) EXPECT_GT(st.p2p_bytes, 0u);
 }
 
 TEST(PipelineParallel, ExplicitBoundaryOverrideIsUsed) {
@@ -154,10 +87,10 @@ TEST(PipelineParallel, ExplicitBoundaryOverrideIsUsed) {
 
   auto cfg = pipe_config(2, 2, 8, 1);
   cfg.boundaries = {cut};
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), cfg);
+  dist::HybridParallelTrainer pipe(factory, parity_options(), cfg);
   ASSERT_EQ(pipe.plan().cuts.size(), 1u);
   EXPECT_EQ(pipe.plan().cuts[0], cut);
-  EXPECT_EQ(static_cast<int>(pipe.stage_net(0).num_layers()), cut);
+  EXPECT_EQ(static_cast<int>(pipe.stage_net(0, 0).num_layers()), cut);
   auto rep = pipe.run();
   EXPECT_EQ(rep.losses.size(), 1u);
 }
@@ -169,13 +102,9 @@ TEST(PipelineParallel, BubbleFractionShrinksAsMicrobatchesGrow) {
     auto factory = [](int batch) { return graph::build_mini_alexnet(batch); };
     core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
     o.real = false;
-    auto cfg = dist::PipelineParallelConfig();
-    cfg.stages = 2;
-    cfg.microbatches = microbatches;
-    cfg.global_batch = 32;
+    auto cfg = pipe_config(2, microbatches, 32, 2);
     cfg.cluster = sim::nvlink_cluster_spec(2);
-    cfg.train = parity_train_config(2);
-    dist::PipelineParallelTrainer pipe(factory, o, cfg);
+    dist::HybridParallelTrainer pipe(factory, o, cfg);
     auto rep = pipe.run();
     const auto& agg = rep.stats.back();
     EXPECT_GT(agg.bubble_seconds, 0.0);
@@ -190,72 +119,36 @@ TEST(PipelineParallel, SimModeScalesToZooNets) {
   o.real = false;
   auto cfg = pipe_config(4, 4, 64, 1);
   cfg.cluster = sim::nvlink_cluster_spec(4);
-  dist::PipelineParallelTrainer pipe(factory, o, cfg);
+  dist::HybridParallelTrainer pipe(factory, o, cfg);
   auto rep = pipe.run();
   EXPECT_EQ(rep.losses[0], 0.0);  // unbacked: no numerics
   EXPECT_GT(rep.stats[0].seconds, 0.0);
   EXPECT_GT(rep.stats[0].p2p_bytes, 0u);
   EXPECT_GT(rep.stats[0].p2p_seconds, 0.0);
-  ASSERT_EQ(rep.stage_stats[0].size(), 4u);
+  // A one-rank row all-reduce is a no-op.
+  EXPECT_EQ(rep.stats[0].allreduce_seconds, 0.0);
+  ASSERT_EQ(rep.cell_stats[0].size(), 4u);
 }
 
 TEST(PipelineParallel, TelemetryIsVisiblePerStage) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), pipe_config(2, 4, 8, 2));
+  dist::HybridParallelTrainer pipe(factory, parity_options(), pipe_config(2, 4, 8, 2));
   auto rep = pipe.run();
   ASSERT_EQ(rep.stats.size(), 2u);
-  ASSERT_EQ(rep.stage_stats[0].size(), 2u);
+  ASSERT_EQ(rep.cell_stats[0].size(), 2u);
+  ASSERT_EQ(rep.cell_stats[0][0].size(), 1u);
   // Stage 0 streams activations, stage 1 streams gradients: both send.
-  for (const auto& st : rep.stage_stats[1]) {
+  for (const auto& st : stage_stats(rep.cell_stats[1])) {
     EXPECT_GT(st.p2p_bytes, 0u);
     EXPECT_GT(st.seconds, 0.0);
   }
   // The downstream stage idles during fill: its bubble must be visible.
-  EXPECT_GT(rep.stage_stats[1][1].bubble_seconds, 0.0);
+  EXPECT_GT(rep.cell_stats[1][1][0].bubble_seconds, 0.0);
   EXPECT_GT(rep.stats[1].bubble_seconds, 0.0);
   // Per-step telemetry is attributed to its cluster device and grid row.
-  EXPECT_EQ(pipe.runtime(1).step_telemetry().front().device_id, 1);
-  EXPECT_EQ(pipe.runtime(1).step_telemetry().front().stage, 1);
-  EXPECT_EQ(pipe.runtime(1).step_telemetry().front().replica, 0);
-}
-
-TEST(PipelineParallel, OneF1BMatchesSingleDeviceBitForBit) {
-  // The schedule engine's flagship invariant: changing the EXECUTION ORDER
-  // (PipeDream-flush instead of fill/drain) never changes training results
-  // — gradients are snapshotted per microbatch and combined in ascending-m
-  // pairwise order regardless of when each backward ran.
-  const int kGlobalBatch = 8, kMicrobatches = 4, kIters = 5;
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-
-  auto net = factory(kGlobalBatch);
-  core::Runtime rt(*net, o);
-  train::Trainer trainer(rt, parity_train_config(kIters));
-  auto single = trainer.run();
-
-  auto cfg = pipe_config(2, kMicrobatches, kGlobalBatch, kIters);
-  cfg.schedule = dist::SchedulePolicy::k1F1B;
-  dist::PipelineParallelTrainer pipe(factory, o, cfg);
-  auto piped = pipe.run();
-
-  ASSERT_EQ(single.losses.size(), piped.losses.size());
-  for (size_t i = 0; i < single.losses.size(); ++i) {
-    EXPECT_EQ(single.losses[i], piped.losses[i]) << "iteration " << i;
-  }
-  expect_params_match(rt, pipe);
-}
-
-TEST(PipelineParallel, OneF1BThreeStagesMatchGPipeBitForBit) {
-  // Same net, same data, both policies: identical loss trajectories. A
-  // deeper pipe (S=3) exercises warmup depths 2/1/0 and cooldown remat.
-  auto run = [&](dist::SchedulePolicy pol) {
-    auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
-    auto cfg = pipe_config(3, 4, 8, 5);
-    cfg.schedule = pol;
-    dist::PipelineParallelTrainer pipe(factory, parity_options(), cfg);
-    return pipe.run().losses;
-  };
-  EXPECT_EQ(run(dist::SchedulePolicy::kGPipe), run(dist::SchedulePolicy::k1F1B));
+  EXPECT_EQ(pipe.runtime(1, 0).step_telemetry().front().device_id, 1);
+  EXPECT_EQ(pipe.runtime(1, 0).step_telemetry().front().stage, 1);
+  EXPECT_EQ(pipe.runtime(1, 0).step_telemetry().front().replica, 0);
 }
 
 TEST(PipelineParallel, OneF1BStashStaysStrictlyBelowGPipe) {
@@ -266,7 +159,7 @@ TEST(PipelineParallel, OneF1BStashStaysStrictlyBelowGPipe) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
     auto cfg = pipe_config(3, 8, 16, 1);
     cfg.schedule = pol;
-    return std::make_unique<dist::PipelineParallelTrainer>(factory, parity_options(), cfg);
+    return std::make_unique<dist::HybridParallelTrainer>(factory, parity_options(), cfg);
   };
   auto gpipe = build(dist::SchedulePolicy::kGPipe);
   auto f1b = build(dist::SchedulePolicy::k1F1B);
@@ -292,7 +185,7 @@ TEST(PipelineParallel, OneF1BShrinksTheBubble) {
     auto cfg = pipe_config(4, 8, 64, 2);
     cfg.cluster = sim::nvlink_cluster_spec(4);
     cfg.schedule = pol;
-    dist::PipelineParallelTrainer pipe(factory, o, cfg);
+    dist::HybridParallelTrainer pipe(factory, o, cfg);
     auto rep = pipe.run();
     const auto& st = rep.stats.back();
     return st.bubble_seconds / (st.seconds * 4);
@@ -308,16 +201,16 @@ TEST(PipelineParallel, PhaseTelemetryAttributesTheBubble) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
   auto cfg = pipe_config(2, 4, 8, 2);
   cfg.schedule = dist::SchedulePolicy::k1F1B;
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), cfg);
+  dist::HybridParallelTrainer pipe(factory, parity_options(), cfg);
   auto rep = pipe.run();
-  for (const auto& st : rep.stage_stats.back()) {
+  for (const auto& st : stage_stats(rep.cell_stats.back())) {
     EXPECT_DOUBLE_EQ(
         st.bubble_seconds,
         st.bubble_fill_seconds + st.bubble_steady_seconds + st.bubble_drain_seconds);
   }
   // Per-step telemetry carries the schedule phase and microbatch stamps.
   bool saw_phase = false;
-  for (const auto& t : pipe.runtime(1).step_telemetry()) {
+  for (const auto& t : pipe.runtime(1, 0).step_telemetry()) {
     if (t.sched_phase >= 0) {
       saw_phase = true;
       EXPECT_GE(t.microbatch, 0);
@@ -344,11 +237,11 @@ TEST(PipelineParallel, OneF1BWithPeerStagingKeepsResultsAndStages) {
     cfg.boundaries = {9};
     cfg.schedule = pol;
     cfg.peer_staging = staging;
-    dist::PipelineParallelTrainer pipe(factory, o, cfg);
+    dist::HybridParallelTrainer pipe(factory, o, cfg);
     auto rep = pipe.run();
     uint64_t staged = 0;
     for (int s = 0; s < pipe.stages(); ++s) {
-      staged += pipe.runtime(s).tensor_pool().peer_stage_count();
+      staged += pipe.runtime(s, 0).tensor_pool().peer_stage_count();
     }
     return std::tuple(rep.losses, staged);
   };
@@ -361,18 +254,6 @@ TEST(PipelineParallel, OneF1BWithPeerStagingKeepsResultsAndStages) {
   EXPECT_GT(gpipe_on_staged, 0u) << "GPipe run never exercised staging";
   EXPECT_EQ(f1b_off, f1b_on) << "staging changed 1F1B training results";
   EXPECT_EQ(f1b_on, gpipe_on) << "schedules diverged under staging";
-}
-
-TEST(PipelineParallel, RejectsBadConfigs) {
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-  EXPECT_THROW(dist::PipelineParallelTrainer(factory, o, pipe_config(2, 3, 8, 1)),
-               std::invalid_argument);
-  auto cfg = pipe_config(3, 2, 8, 1);
-  cfg.boundaries = {2};  // 3 stages need 2 boundaries
-  EXPECT_THROW(dist::PipelineParallelTrainer(factory, o, cfg), std::invalid_argument);
-  EXPECT_THROW(dist::PipelineParallelTrainer(factory, o, pipe_config(0, 2, 8, 1)),
-               std::invalid_argument);
 }
 
 }  // namespace

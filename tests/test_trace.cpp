@@ -11,7 +11,6 @@
 
 #include "core/transfer_engine.hpp"
 #include "dist/hybrid_parallel.hpp"
-#include "dist/pipeline_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "mem/host_pool.hpp"
 #include "obs/chrome_trace.hpp"
@@ -38,18 +37,6 @@ train::TrainConfig train_config(int iterations) {
   tc.lr = 0.05f;
   tc.momentum = 0.9f;
   return tc;
-}
-
-dist::PipelineParallelConfig pipe_config(int stages, int microbatches, int global_batch,
-                                         int iterations, dist::SchedulePolicy policy) {
-  dist::PipelineParallelConfig cfg;
-  cfg.stages = stages;
-  cfg.microbatches = microbatches;
-  cfg.global_batch = global_batch;
-  cfg.schedule = policy;
-  cfg.cluster = sim::pcie_cluster_spec(stages);
-  cfg.train = train_config(iterations);
-  return cfg;
 }
 
 dist::HybridParallelConfig hybrid_config(int stages, int replicas, int microbatches,
@@ -170,8 +157,8 @@ TEST(TraceAnalyzer, SingleDeviceSpansAccountForEveryComputeStreamSecond) {
 TEST(TraceAnalyzer, PipelineBubbleReconcilesWithIterationStats) {
   for (auto policy : {dist::SchedulePolicy::kGPipe, dist::SchedulePolicy::k1F1B}) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-    dist::PipelineParallelTrainer pipe(factory, parity_options(),
-                                       pipe_config(2, 4, 8, 2, policy));
+    dist::HybridParallelTrainer pipe(factory, parity_options(),
+                                     hybrid_config(2, 1, 4, 8, 2, policy));
     obs::TraceSession session;
     pipe.attach_trace(&session);
     auto rep = pipe.run();
@@ -333,8 +320,8 @@ TEST(Metrics, StallHistogramBoundsArePinned) {
 
 TEST(Metrics, AnalyzerFillsCountersGaugesAndHistogram) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  dist::PipelineParallelTrainer pipe(factory, parity_options(),
-                                     pipe_config(2, 4, 8, 1, dist::SchedulePolicy::kGPipe));
+  dist::HybridParallelTrainer pipe(factory, parity_options(),
+                                   hybrid_config(2, 1, 4, 8, 1, dist::SchedulePolicy::kGPipe));
   obs::TraceSession session;
   pipe.attach_trace(&session);
   pipe.run();

@@ -115,4 +115,24 @@ TEST(ThreadPool, NestedInvocationsFromGlobal) {
   EXPECT_EQ(sum.load(), 10 * 4950);
 }
 
+TEST(ThreadPool, ManyTinyCallsNeverOutliveTheCaller) {
+  // Each call's completion state lives on the caller's stack; a worker that
+  // touches it after the caller returned corrupts the next call's frame.
+  // Thousands of two-chunk calls keep that window busy (TSan flags it).
+  ThreadPool pool(4);
+  long total = 0;
+  for (int rep = 0; rep < 20000; ++rep) {
+    std::atomic<long> sum{0};
+    pool.parallel_for(0, 2 + static_cast<size_t>(rep % 7),
+                      [&](size_t i) { sum.fetch_add(static_cast<long>(i)); });
+    total += sum.load();
+  }
+  long expect = 0;
+  for (int rep = 0; rep < 20000; ++rep) {
+    const long n = 2 + rep % 7;
+    expect += n * (n - 1) / 2;
+  }
+  EXPECT_EQ(total, expect);
+}
+
 }  // namespace
