@@ -28,35 +28,85 @@ uint64_t col_bytes(const ConvDesc& d) {
   return col_elems(d) * d.n * sizeof(float);
 }
 
+// --- direct (workspace-free) kernels -----------------------------------------
+//
+// Each kernel keeps a block of kLanes channels in register-resident
+// accumulators and makes its innermost loop run over that block. The blocks
+// are generic (GCC/Clang) vectors of the x86-64 baseline width: two doubles or
+// four floats per SSE2 register; other targets lower them to their own SIMD
+// or to scalars. The padding bounds are solved once per position or tap (the
+// ranges below), never per term. Channels past the last one fill their lanes
+// with zero weights or gradients and are never stored. Per element, every
+// kernel adds the same terms in the same order as the plain nested loops
+// documented in conv.hpp, so the results are bit for bit independent of the
+// blocking.
+
+using F64x2 = double __attribute__((vector_size(16)));
+using F32x4 = float __attribute__((vector_size(16)));
+constexpr int kLanes = 8;
+constexpr int kF64Vecs = kLanes / 2;
+constexpr int kF32Vecs = kLanes / 4;
+
+/// Half-open index range.
+struct Span {
+  int lo, hi;
+};
+
+/// The indices i in [0, count) with lo <= i * stride < hi. Every padding
+/// bound of the direct kernels is one such range, solved once per position
+/// or tap instead of once per term.
+Span stride_range(int lo, int hi, int stride, int count) {
+  const int first = lo <= 0 ? 0 : (lo + stride - 1) / stride;
+  const int end = hi <= 0 ? 0 : std::min(count, (hi + stride - 1) / stride);
+  return {first, std::max(first, end)};
+}
+
+int lane_blocks(int channels) { return (channels + kLanes - 1) / kLanes; }
+
 void direct_forward(const ConvDesc& d, const float* x, const float* w, const float* bias,
                     float* y) {
   const int oh = d.out_h(), ow = d.out_w();
-  auto& pool = util::ThreadPool::global();
-  pool.parallel_for(0, static_cast<size_t>(d.n) * d.k, [&](size_t nk) {
-    int n = static_cast<int>(nk) / d.k;
-    int k = static_cast<int>(nk) % d.k;
+  const long ohw = static_cast<long>(oh) * ow;
+  const int taps = d.c * d.kh * d.kw;
+  const int blocks = lane_blocks(d.k);
+  // Filter panel [block][c][ki][kj][lane], widened to double up front (the
+  // products are exact in double either way).
+  std::vector<F64x2> panel(static_cast<size_t>(blocks) * taps * kF64Vecs);
+  for (int k = 0; k < d.k; ++k)
+    for (int t = 0; t < taps; ++t)
+      panel[(static_cast<size_t>(k / kLanes) * taps + t) * kF64Vecs + k % kLanes / 2][k % 2] =
+          w[static_cast<long>(k) * taps + t];
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n) * blocks, [&](size_t nb) {
+    const int n = static_cast<int>(nb) / blocks;
+    const int k0 = static_cast<int>(nb) % blocks * kLanes;
+    const int lanes = std::min(kLanes, d.k - k0);
     const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
-    const float* wk = w + static_cast<long>(k) * d.c * d.kh * d.kw;
-    float* yo = y + (static_cast<long>(n) * d.k + k) * oh * ow;
-    float bv = bias ? bias[k] : 0.0f;
+    const F64x2* pb = panel.data() + static_cast<size_t>(k0 / kLanes) * taps * kF64Vecs;
+    float* yo = y + (static_cast<long>(n) * d.k + k0) * ohw;
+    F64x2 init[kF64Vecs] = {};
+    for (int l = 0; l < lanes; ++l) init[l / 2][l % 2] = bias ? bias[k0 + l] : 0.0f;
     for (int oy = 0; oy < oh; ++oy) {
+      // Taps ki whose row oy * stride - pad + ki lies inside the image.
+      const int y0 = oy * d.stride_h - d.pad_h;
+      const Span ki_in = stride_range(-y0, d.h - y0, 1, d.kh);
       for (int ox = 0; ox < ow; ++ox) {
-        double acc = bv;
+        const int x0 = ox * d.stride_w - d.pad_w;
+        const Span kj_in = stride_range(-x0, d.w - x0, 1, d.kw);
+        F64x2 acc[kF64Vecs];
+        for (int v = 0; v < kF64Vecs; ++v) acc[v] = init[v];
         for (int c = 0; c < d.c; ++c) {
-          const float* plane = xi + static_cast<long>(c) * d.h * d.w;
-          const float* wc = wk + static_cast<long>(c) * d.kh * d.kw;
-          for (int ki = 0; ki < d.kh; ++ki) {
-            int iy = oy * d.stride_h - d.pad_h + ki;
-            if (iy < 0 || iy >= d.h) continue;
-            for (int kj = 0; kj < d.kw; ++kj) {
-              int ix = ox * d.stride_w - d.pad_w + kj;
-              if (ix < 0 || ix >= d.w) continue;
-              acc += static_cast<double>(plane[static_cast<long>(iy) * d.w + ix]) *
-                     wc[ki * d.kw + kj];
+          for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
+            const float* row = xi + (static_cast<long>(c) * d.h + y0 + ki) * d.w + x0;
+            const F64x2* wrow = pb + (c * d.kh + ki) * d.kw * kF64Vecs;
+            for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) {
+              const double xv = row[kj];
+              const F64x2* wt = wrow + kj * kF64Vecs;
+              for (int v = 0; v < kF64Vecs; ++v) acc[v] += xv * wt[v];
             }
           }
         }
-        yo[static_cast<long>(oy) * ow + ox] = static_cast<float>(acc);
+        float* yp = yo + static_cast<long>(oy) * ow + ox;
+        for (int l = 0; l < lanes; ++l) yp[l * ohw] = static_cast<float>(acc[l / 2][l % 2]);
       }
     }
   });
@@ -112,32 +162,53 @@ void winograd_forward(const ConvDesc& d, const float* x, const float* w, const f
 
 void direct_backward_data(const ConvDesc& d, const float* w, const float* dy, float* dx) {
   const int oh = d.out_h(), ow = d.out_w();
-  auto& pool = util::ThreadPool::global();
-  pool.parallel_for(0, static_cast<size_t>(d.n), [&](size_t ni) {
-    int n = static_cast<int>(ni);
-    float* dxi = dx + static_cast<long>(n) * d.c * d.h * d.w;
+  const int khw = d.kh * d.kw;
+  const long hw = static_cast<long>(d.h) * d.w;
+  const int blocks = lane_blocks(d.c);
+  // Filter panel [block][k][ki][kj][lane] over input channels.
+  std::vector<F32x4> panel(static_cast<size_t>(blocks) * d.k * khw * kF32Vecs);
+  for (int k = 0; k < d.k; ++k)
+    for (int c = 0; c < d.c; ++c)
+      for (int t = 0; t < khw; ++t)
+        panel[((static_cast<size_t>(c / kLanes) * d.k + k) * khw + t) * kF32Vecs +
+              c % kLanes / 4][c % 4] = w[(static_cast<long>(k) * d.c + c) * khw + t];
+  constexpr F32x4 kMinusZero = {-0.0f, -0.0f, -0.0f, -0.0f};
+  // Gathers each input position's terms: k, then oy, then ox ascending, which
+  // is the order a scatter over (k, oy, ox) delivers them in.
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n) * blocks, [&](size_t nb) {
+    const int n = static_cast<int>(nb) / blocks;
+    const int c0 = static_cast<int>(nb) % blocks * kLanes;
+    const int lanes = std::min(kLanes, d.c - c0);
+    float* dxi = dx + (static_cast<long>(n) * d.c + c0) * hw;
     const float* dyi = dy + static_cast<long>(n) * d.k * oh * ow;
-    for (int k = 0; k < d.k; ++k) {
-      const float* wk = w + static_cast<long>(k) * d.c * d.kh * d.kw;
-      const float* dyk = dyi + static_cast<long>(k) * oh * ow;
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          float g = dyk[static_cast<long>(oy) * ow + ox];
-          if (g == 0.0f) continue;
-          for (int c = 0; c < d.c; ++c) {
-            float* plane = dxi + static_cast<long>(c) * d.h * d.w;
-            const float* wc = wk + static_cast<long>(c) * d.kh * d.kw;
-            for (int ki = 0; ki < d.kh; ++ki) {
-              int iy = oy * d.stride_h - d.pad_h + ki;
-              if (iy < 0 || iy >= d.h) continue;
-              for (int kj = 0; kj < d.kw; ++kj) {
-                int ix = ox * d.stride_w - d.pad_w + kj;
-                if (ix < 0 || ix >= d.w) continue;
-                plane[static_cast<long>(iy) * d.w + ix] += g * wc[ki * d.kw + kj];
-              }
+    const F32x4* pb = panel.data() + static_cast<size_t>(c0 / kLanes) * d.k * khw * kF32Vecs;
+    for (int iy = 0; iy < d.h; ++iy) {
+      // Outputs oy that read row iy through a tap ki = iy + pad - oy * stride
+      // in [0, kh); ascending oy visits descending ki.
+      const Span oy_in = stride_range(iy + d.pad_h - d.kh + 1, iy + d.pad_h + 1, d.stride_h, oh);
+      for (int ix = 0; ix < d.w; ++ix) {
+        const Span ox_in =
+            stride_range(ix + d.pad_w - d.kw + 1, ix + d.pad_w + 1, d.stride_w, ow);
+        float* xp = dxi + static_cast<long>(iy) * d.w + ix;
+        F32x4 acc[kF32Vecs] = {};
+        for (int l = 0; l < lanes; ++l) acc[l / 4][l % 4] = xp[l * hw];
+        for (int k = 0; k < d.k; ++k) {
+          const float* dyk = dyi + static_cast<long>(k) * oh * ow;
+          const F32x4* wk = pb + static_cast<size_t>(k) * khw * kF32Vecs;
+          for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
+            const int ki = iy + d.pad_h - oy * d.stride_h;
+            for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
+              const float gs = dyk[static_cast<long>(oy) * ow + ox];
+              const F32x4 g = {gs, gs, gs, gs};
+              const F32x4* wt = wk + (ki * d.kw + ix + d.pad_w - ox * d.stride_w) * kF32Vecs;
+              // A zero g adds -0.0 in place of its term, without a branch
+              // (zero gradients are common after a ReLU). x + -0 is x for
+              // every x in round-to-nearest, +0 and -0 included.
+              for (int v = 0; v < kF32Vecs; ++v) acc[v] += g != 0.0f ? g * wt[v] : kMinusZero;
             }
           }
         }
+        for (int l = 0; l < lanes; ++l) xp[l * hw] = acc[l / 4][l % 4];
       }
     }
   });
@@ -162,58 +233,69 @@ void im2col_backward_data(const ConvDesc& d, const float* w, const float* dy, fl
 void direct_backward_filter(const ConvDesc& d, const float* x, const float* dy, float* dw,
                             float* db) {
   const int oh = d.out_h(), ow = d.out_w();
+  const long ohw = static_cast<long>(oh) * ow;
   const size_t wdim = static_cast<size_t>(d.c) * d.kh * d.kw;
   // Per-sample contributions accumulate in double with a fixed spatial
   // order, are cast to float, and reduce over the batch as a pairwise tree
   // (shard-composable — data-parallel replicas must be able to reproduce
-  // the full-batch gradient bit for bit; see util/pairwise.hpp). Channels
-  // run in blocks so scratch is allocated per block, not per channel.
-  auto& pool = util::ThreadPool::global();
-  const int grain = std::max(1, d.k / static_cast<int>(pool.size() * 4));
-  const int blocks = (d.k + grain - 1) / grain;
-  pool.parallel_for(0, static_cast<size_t>(blocks), [&](size_t bi) {
-    const int bk0 = static_cast<int>(bi) * grain;
-    const int bk1 = std::min(d.k, bk0 + grain);
-    util::PairwiseVecAccumulator acc(wdim);
-    std::vector<double> sample(wdim);
-    std::vector<float> leaf(wdim);
-    std::vector<float> db_leaf(db ? static_cast<size_t>(d.n) : 0);
-    for (int k = bk0; k < bk1; ++k) {
-      for (int n = 0; n < d.n; ++n) {
-        std::fill(sample.begin(), sample.end(), 0.0);
-        double dbn = 0.0;
-        const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
-        const float* dyk = dy + (static_cast<long>(n) * d.k + k) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          for (int ox = 0; ox < ow; ++ox) {
-            float g = dyk[static_cast<long>(oy) * ow + ox];
-            dbn += g;
-            if (g == 0.0f) continue;
-            for (int c = 0; c < d.c; ++c) {
-              const float* plane = xi + static_cast<long>(c) * d.h * d.w;
-              double* wc = sample.data() + static_cast<long>(c) * d.kh * d.kw;
-              for (int ki = 0; ki < d.kh; ++ki) {
-                int iy = oy * d.stride_h - d.pad_h + ki;
-                if (iy < 0 || iy >= d.h) continue;
-                for (int kj = 0; kj < d.kw; ++kj) {
-                  int ix = ox * d.stride_w - d.pad_w + kj;
-                  if (ix < 0 || ix >= d.w) continue;
-                  wc[ki * d.kw + kj] +=
-                      static_cast<double>(g) *
-                      static_cast<double>(plane[static_cast<long>(iy) * d.w + ix]);
-                }
+  // the full-batch gradient bit for bit; see util/pairwise.hpp). Each task
+  // owns one block of output channels and one tree per channel.
+  const int blocks = lane_blocks(d.k);
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(blocks), [&](size_t bi) {
+    const int k0 = static_cast<int>(bi) * kLanes;
+    const int lanes = std::min(kLanes, d.k - k0);
+    std::vector<util::PairwiseVecAccumulator> acc(lanes, util::PairwiseVecAccumulator(wdim));
+    std::vector<float> leaves(lanes * wdim);
+    std::vector<F64x2> grad(ohw * kF64Vecs);  // [oy][ox][lane]
+    std::vector<float> db_leaf(db ? static_cast<size_t>(lanes) * d.n : 0);
+    for (int n = 0; n < d.n; ++n) {
+      const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
+      const float* dyn = dy + (static_cast<long>(n) * d.k + k0) * ohw;
+      F64x2 dbn[kF64Vecs] = {};
+      for (long p = 0; p < ohw; ++p) {
+        F64x2* gp = grad.data() + p * kF64Vecs;
+        for (int l = 0; l < lanes; ++l) gp[l / 2][l % 2] = dyn[l * ohw + p];
+        for (int v = 0; v < kF64Vecs; ++v) dbn[v] += gp[v];
+      }
+      for (int c = 0; c < d.c; ++c) {
+        for (int ki = 0; ki < d.kh; ++ki) {
+          // Outputs oy whose tap ki reads row oy * stride - pad + ki inside
+          // the image.
+          const Span oy_in = stride_range(d.pad_h - ki, d.h + d.pad_h - ki, d.stride_h, oh);
+          for (int kj = 0; kj < d.kw; ++kj) {
+            const Span ox_in = stride_range(d.pad_w - kj, d.w + d.pad_w - kj, d.stride_w, ow);
+            F64x2 sum[kF64Vecs] = {};
+            for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
+              const float* row =
+                  xi + (static_cast<long>(c) * d.h + oy * d.stride_h - d.pad_h + ki) * d.w + kj -
+                  d.pad_w;
+              const F64x2* grow = grad.data() + static_cast<long>(oy) * ow * kF64Vecs;
+              for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
+                const double xv = row[ox * d.stride_w];
+                const F64x2* g = grow + ox * kF64Vecs;
+                // A zero g adds +0.0 in place of its term, without a branch.
+                // That leaves the sum unchanged: it starts at +0.0, and a
+                // round-to-nearest sum is -0 only if both operands are.
+                for (int v = 0; v < kF64Vecs; ++v) sum[v] += g[v] != 0.0 ? g[v] * xv : F64x2{};
               }
             }
+            const size_t tap = (static_cast<size_t>(c) * d.kh + ki) * d.kw + kj;
+            for (int l = 0; l < lanes; ++l)
+              leaves[l * wdim + tap] = static_cast<float>(sum[l / 2][l % 2]);
           }
         }
-        for (size_t i = 0; i < wdim; ++i) leaf[i] = static_cast<float>(sample[i]);
-        acc.push(leaf.data());
-        if (db) db_leaf[static_cast<size_t>(n)] = static_cast<float>(dbn);
       }
-      acc.finish(dw + static_cast<long>(k) * wdim);
+      for (int l = 0; l < lanes; ++l) {
+        acc[l].push(leaves.data() + l * wdim);
+        if (db) db_leaf[static_cast<size_t>(l) * d.n + n] = static_cast<float>(dbn[l / 2][l % 2]);
+      }
+    }
+    for (int l = 0; l < lanes; ++l) {
+      acc[l].finish(dw + static_cast<long>(k0 + l) * wdim);
       if (db) {
-        db[k] = util::pairwise_sum<float>(static_cast<uint64_t>(d.n),
-                                          [&](uint64_t n) { return db_leaf[n]; });
+        db[k0 + l] = util::pairwise_sum<float>(static_cast<uint64_t>(d.n), [&](uint64_t n) {
+          return db_leaf[static_cast<size_t>(l) * d.n + n];
+        });
       }
     }
   });
@@ -228,7 +310,7 @@ void im2col_backward_filter(const ConvDesc& d, const float* x, const float* dy, 
   // Images run sequentially (the column slice still comes from the
   // batch-scale workspace); each image's dW lands in a scratch leaf and the
   // batch reduces as a pairwise tree, matching the direct path bit for bit
-  // (same per-sample products in the same spatial order).
+  // (same per-sample products in the same spatial order; see conv.hpp).
   util::PairwiseVecAccumulator acc(wdim);
   std::vector<float> leaf(wdim);
   for (int n = 0; n < d.n; ++n) {

@@ -8,10 +8,33 @@
 //   kWinograd    — 3x3/stride-1 only, moderate workspace, fastest for 3x3
 //   kFftTiled    — stride-1 only, largest workspace, fastest for big kernels
 //
-// All algorithms are numerically interchangeable: the runtime may pick any
-// feasible one without changing training results. kFftTiled's arithmetic is
-// executed via the im2col path (identical numerics); its workspace demand and
-// speed are modeled after cuDNN's FFT tiling — see DESIGN.md (substitutions).
+// Numerics contract. Every algorithm computes the same convolution and they
+// agree within float rounding (tests/test_conv.cpp checks each against
+// kDirect within a tolerance), so the runtime may pick any feasible one.
+// They are NOT bitwise interchangeable: each sums in its own order and
+// precision. kWinograd runs F(2x2,3x3) tiles and kFftTiled a tiled FFT
+// (fft_conv_forward_image) on the forward pass; the backward passes of every
+// algorithm but kDirect run the im2col path. Direct and im2col already
+// differ in the low bits of the forward and backward-data outputs for most
+// geometries. Runs that must be bit-reproducible (the parity suites,
+// perfbench) therefore pin kDirect with allow_workspace = false. kFftTiled's
+// workspace demand and speed are modeled after cuDNN's FFT tiling.
+//
+// kDirect's per-element summation order (pinned bit for bit by test_conv):
+//   forward          y = float(bias + sum of x * w over the in-image taps in
+//                    (c, ki, kj) order), the sum in double starting from the
+//                    bias (0 without one);
+//   backward-data    dx += g * w in float, one term at a time, in (k, oy, ox)
+//                    order over the outputs that read the element, skipping
+//                    g == 0 (either sign);
+//   backward-filter  per (k, sample): the double sum of g * x over (oy, ox) in
+//                    order, skipping g == 0, cast to float; samples then
+//                    reduce as a pairwise tree (util/pairwise.hpp). db per
+//                    sample is the double sum of every g in (oy, ox) order,
+//                    cast to float, reduced by the same tree.
+// im2col's backward-filter matches direct's bit for bit on finite inputs: its
+// extra terms (the padding taps and the zero gradients) are signed zeros
+// added to a double sum that is never -0.
 #pragma once
 
 #include <cstdint>
