@@ -13,7 +13,13 @@
 // microbatched data parallelism, the plain pipeline, or a single device, so
 // all four geometries share one accounting path.
 //
-//   ./bench_sweep [--json out.json] [--tier small|full] [--repeats N]
+// After the sweep, bench/sweep_checks.hpp asserts the pipeline and grid
+// claims over the cells (GPipe's bubble shrinks with M, 1F1B's bubble and
+// exposed all-reduce undercut GPipe's, the 2x2 grid beats the 2-device
+// baselines), prints the cells each check compared, and exits 1 on a
+// violation. The demo tier declares none of those cells and skips them.
+//
+//   ./bench_sweep [--json out.json] [--tier small|full|demo] [--repeats N]
 //                 [--point N] [--seed S] [--peer-staging auto|on|off]
 //                 [--trace-out DIR]
 //
@@ -27,17 +33,24 @@
 // (first repeat, wall stamps stripped) named after the cell key, so the CI
 // perf-gate can trace_diff a regressed cell against the baseline capture
 // without any source edits.
+//
+// Exit codes: 0 = swept and every check held; 1 = a check failed or a file
+// could not be written; 2 = bad arguments.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
 #include <sys/stat.h>
 
 #include "bench/common.hpp"
-#include "bench/sweep_config.hpp"
+#include "bench/sweep_checks.hpp"
 #include "dist/hybrid_parallel.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/trace.hpp"
@@ -47,25 +60,18 @@ using namespace sn;
 
 namespace {
 
-struct CellResult {
-  bench::SweepCellSpec spec;
-  /// metric name -> per-repeat samples (insertion-ordered for stable JSON).
-  std::vector<std::pair<std::string, std::vector<double>>> samples;
-};
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Filename-safe cell identity for --trace-out captures, mirroring the
-/// trajectory cell key (sweep/VGG16/nvlink/s2r1m1/pool2/gpipe with '/'
-/// flattened to '_').
-std::string cell_trace_name(const bench::SweepCellSpec& s) {
-  return s.net + "_" + s.link + "_s" + std::to_string(s.stages) + "r" +
-         std::to_string(s.replicas) + "m" + std::to_string(s.microbatches) + "_pool" +
-         std::to_string(s.pool_gb) + "_" + s.schedule + ".trace.json";
+/// Whole-string unsigned parse (decimal, or hex with 0x); exits 2 naming the
+/// flag on anything else, so "--repeats 3x" cannot quietly read as 3.
+uint64_t parse_count(const char* flag, const char* text, uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 0);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
+      v > max) {
+    std::fprintf(stderr, "%s wants a non-negative integer, got \"%s\"\n", flag, text);
+    std::exit(2);
+  }
+  return v;
 }
 
 sim::ClusterSpec cluster_for(const bench::SweepCellSpec& s) {
@@ -85,14 +91,33 @@ int main(int argc, char** argv) {
   int repeats = 3;
   int point = 9;
   uint64_t data_seed = 1234;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--trace-out") == 0) trace_dir = argv[i + 1];
-    if (std::strcmp(argv[i], "--tier") == 0) tier = argv[i + 1];
-    if (std::strcmp(argv[i], "--repeats") == 0) repeats = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--point") == 0) point = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--seed") == 0) data_seed = std::strtoull(argv[i + 1], nullptr, 0);
-    if (std::strcmp(argv[i], "--peer-staging") == 0) staging_mode = argv[i + 1];
+  for (int i = 1; i < argc; ++i) {
+    const char* a = argv[i];
+    auto next = [&](const char* flag) -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s wants a value\n", flag);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (std::strcmp(a, "--json") == 0) {
+      json_path = next(a);
+    } else if (std::strcmp(a, "--trace-out") == 0) {
+      trace_dir = next(a);
+    } else if (std::strcmp(a, "--tier") == 0) {
+      tier = next(a);
+    } else if (std::strcmp(a, "--repeats") == 0) {
+      repeats = static_cast<int>(parse_count(a, next(a), INT_MAX));
+    } else if (std::strcmp(a, "--point") == 0) {
+      point = static_cast<int>(parse_count(a, next(a), INT_MAX));
+    } else if (std::strcmp(a, "--seed") == 0) {
+      data_seed = parse_count(a, next(a), UINT64_MAX);
+    } else if (std::strcmp(a, "--peer-staging") == 0) {
+      staging_mode = next(a);
+    } else {
+      std::fprintf(stderr, "unknown arg: %s\n", a);
+      return 2;
+    }
   }
   if (repeats < 1) {
     std::fprintf(stderr, "--repeats must be >= 1\n");
@@ -116,18 +141,18 @@ int main(int argc, char** argv) {
   std::printf("=== config sweep: %zu cells, tier %s, %d repeat(s), global batch %d ===\n\n",
               matrix.size(), tier.c_str(), repeats, kGlobalBatch);
   util::Table t({"net", "link", "grid", "pool", "schedule", "iter (ms)", "img/s",
-                 "bubble (ms)", "ar exposed (ms)", "staged"});
+                 "bubble (ms)", "bubble_frac", "ar exposed (ms)", "staged"});
 
-  std::vector<CellResult> results;
+  std::vector<bench::SweepCellResult> results;
   for (const bench::SweepCellSpec& spec : matrix) {
-    CellResult cell{spec, {}};
+    bench::SweepCellResult cell{spec, {}};
     for (const char* name : {"seconds", "img_per_s", "stall_seconds", "bubble_seconds",
                              "allreduce_seconds", "allreduce_exposed_seconds", "p2p_bytes",
                              "peer_stage_count"}) {
       cell.samples.emplace_back(name, std::vector<double>{});
     }
-    // By-name append; late-appearing names (the per-link occupancy metrics)
-    // register on first use. The simulator is deterministic, so every repeat
+    // By-name append; late-appearing names (bubble_frac, the per-link
+    // occupancy metrics) register on first use. The simulator is deterministic, so every repeat
     // touches the same link set and the sample vectors stay rectangular.
     auto push = [&cell](const std::string& name, double v) {
       for (auto& [n, s] : cell.samples) {
@@ -140,6 +165,12 @@ int main(int argc, char** argv) {
     };
 
     const int devices = spec.stages * spec.replicas;
+    // bubble_frac measures how well M microbatches amortize the pipeline's
+    // fill/drain ramps, so only pipelined cells record it. A one-microbatch
+    // pipe has no ramp to amortize: its idle share moves with every stall
+    // on the bottleneck stage (peer staging cuts them), which seconds and
+    // stall_seconds already gate.
+    const bool pipelined = spec.stages > 1 && spec.microbatches > 1;
     for (int rep = 0; rep < repeats; ++rep) {
       dist::HybridParallelConfig cfg;
       cfg.stages = spec.stages;
@@ -171,7 +202,11 @@ int main(int argc, char** argv) {
         trainer.attach_trace(nullptr);
         obs::ChromeTraceOptions topts;
         topts.include_wall = false;  // strip wall stamps: diffable across runs
-        const std::string path = std::string(trace_dir) + "/" + cell_trace_name(spec);
+        // The cell key with '/' flattened to '_', e.g.
+        // VGG16_nvlink_s2r1m1_pool2_gpipe.trace.json.
+        std::string name = bench::cell_key(spec);
+        std::replace(name.begin(), name.end(), '/', '_');
+        const std::string path = std::string(trace_dir) + "/" + name + ".trace.json";
         if (!obs::write_chrome_trace(trace_session, path, topts)) {
           std::fprintf(stderr, "cannot write %s\n", path.c_str());
           return 1;
@@ -182,6 +217,16 @@ int main(int argc, char** argv) {
       push("img_per_s", kGlobalBatch / st.seconds);
       push("stall_seconds", st.stall_seconds);
       push("bubble_seconds", st.bubble_seconds);
+      if (pipelined) {
+        // Bottleneck cell's busy time: its span minus its pipeline stalls.
+        double busy_max = 0.0;
+        for (const auto& row : report.cell_stats.back()) {
+          for (const auto& cs : row) {
+            busy_max = std::max(busy_max, cs.seconds - cs.bubble_seconds);
+          }
+        }
+        push("bubble_frac", (st.seconds - busy_max) / st.seconds);
+      }
       push("allreduce_seconds", st.allreduce_seconds);
       push("allreduce_exposed_seconds", st.allreduce_exposed_seconds);
       push("p2p_bytes", static_cast<double>(st.p2p_bytes));
@@ -199,27 +244,36 @@ int main(int argc, char** argv) {
         }
       }
     }
-    results.push_back(cell);
-
-    auto med = [&](const char* name) {
-      for (const auto& [n, s] : cell.samples) {
-        if (n == name) return median_of(s);
-      }
-      return 0.0;
-    };
     std::string grid = std::to_string(spec.stages) + "x" + std::to_string(spec.replicas) + "x" +
                        std::to_string(spec.microbatches);
     t.add_row({spec.net, spec.link, grid, std::to_string(spec.pool_gb) + "G", spec.schedule,
-               util::format_double(med("seconds") * 1e3, 1),
-               util::format_double(med("img_per_s"), 1),
-               util::format_double(med("bubble_seconds") * 1e3, 2),
-               util::format_double(med("allreduce_exposed_seconds") * 1e3, 2),
-               util::format_double(med("peer_stage_count"), 0)});
+               util::format_double(cell.median("seconds") * 1e3, 1),
+               util::format_double(cell.median("img_per_s"), 1),
+               util::format_double(cell.median("bubble_seconds") * 1e3, 2),
+               pipelined ? util::format_double(cell.median("bubble_frac"), 4) : "-",
+               util::format_double(cell.median("allreduce_exposed_seconds") * 1e3, 2),
+               util::format_double(cell.median("peer_stage_count"), 0)});
+    results.push_back(std::move(cell));
   }
   t.print();
   std::printf("\n%zu cells x %d repeat(s); medians above, full {median, lo, hi, n} per metric "
               "in the JSON output.\n",
               results.size(), repeats);
+
+  bool checks_ok = true;
+  if (bench::tier_has_checks(tier)) {
+    std::printf("\nsweep checks:\n");
+    for (const bench::SweepCheck& c : bench::check_sweep(results)) {
+      checks_ok = checks_ok && c.ok();
+      std::printf("%s %s: %s\n", c.ok() ? "CONFIRMED" : "VIOLATED", c.name.c_str(),
+                  c.claim.c_str());
+      for (const std::string& line : c.checked) std::printf("    %s\n", line.c_str());
+      for (const std::string& line : c.violations) std::printf("  !! %s\n", line.c_str());
+    }
+  } else {
+    std::printf("\nsweep checks: tier %s declares none of their cells; skipped\n",
+                tier.c_str());
+  }
 
   if (json_path) {
     util::JsonWriter w;
@@ -231,7 +285,7 @@ int main(int argc, char** argv) {
     w.key("repeats").value(repeats);
     w.key("global_batch").value(kGlobalBatch);
     w.key("cells").begin_array();
-    for (const CellResult& cell : results) {
+    for (const bench::SweepCellResult& cell : results) {
       const bench::SweepCellSpec& s = cell.spec;
       w.begin_object();
       w.key("net").value(s.net);
@@ -244,7 +298,7 @@ int main(int argc, char** argv) {
       w.key("metrics").begin_object();
       for (const auto& [name, samples] : cell.samples) {
         w.key(name).begin_object(util::JsonWriter::kInline);
-        w.key("median").value_sci(median_of(samples), 6);
+        w.key("median").value_sci(bench::median_of(samples), 6);
         w.key("lo").value_sci(*std::min_element(samples.begin(), samples.end()), 6);
         w.key("hi").value_sci(*std::max_element(samples.begin(), samples.end()), 6);
         w.key("n").value(static_cast<int>(samples.size()));
@@ -259,5 +313,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return checks_ok ? 0 : 1;
 }

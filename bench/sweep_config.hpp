@@ -2,9 +2,9 @@
 // spec x pool budget x schedule policy} cells one trajectory point records.
 //
 // The matrix is data, not loops buried in a main(): the small tier is what
-// the CI perf-gate runs on every PR (kept to tens of cells so the gate stays
-// inside the smoke budget), the full tier is what --update-baseline sweeps
-// when a PR claims a perf win and refreshes the committed BENCH_<n>.json.
+// the CI perf-gate runs on every PR and what the committed BENCH_<n>.json
+// records (kept to tens of cells so the gate stays inside the smoke budget);
+// the full tier widens every axis for a manual look.
 // Every cell runs through dist::HybridParallelTrainer — S=1/R=1 degenerate
 // to microbatched data parallelism / the plain pipeline / a single device,
 // so one driver covers all four geometries with identical accounting.
@@ -26,6 +26,14 @@ struct SweepCellSpec {
   bool peer_staging = false; ///< route pool evictions over idle P2P links
 };
 
+/// The cell's identity, e.g. "VGG16/nvlink/s2r1m4/pool12/gpipe": the
+/// trajectory cell key without its "sweep/" prefix.
+inline std::string cell_key(const SweepCellSpec& s) {
+  return s.net + "/" + s.link + "/s" + std::to_string(s.stages) + "r" +
+         std::to_string(s.replicas) + "m" + std::to_string(s.microbatches) + "/pool" +
+         std::to_string(s.pool_gb) + "/" + s.schedule;
+}
+
 /// Expand the declared matrix for a tier ("small" | "full" | "demo"); the
 /// demo tier is just the pool-constrained peer-staging cells, cheap enough
 /// for CI to run twice (--peer-staging off vs on) and diff the A/B pair.
@@ -41,12 +49,13 @@ inline std::vector<SweepCellSpec> sweep_matrix(const std::string& tier) {
   if (tier == "small") {
     nets = {"VGG16", "ResNet50"};
     links = {"nvlink"};
-    geometries = {{1, 1, 1}, {1, 2, 1}, {2, 1, 4}, {2, 2, 4}};
+    geometries = {{1, 1, 1}, {1, 2, 1}, {2, 1, 4}, {2, 2, 4}, {2, 1, 8}, {4, 1, 8}};
     pools_gb = {12, 6};
   } else if (tier == "full") {
     nets = {"VGG16", "ResNet50", "InceptionV4"};
     links = {"nvlink", "pcie"};
-    geometries = {{1, 1, 1}, {1, 2, 1}, {2, 1, 4}, {2, 2, 4}, {2, 4, 4}, {4, 2, 4}};
+    geometries = {{1, 1, 1}, {1, 2, 1}, {2, 1, 4}, {2, 2, 4},
+                  {2, 4, 4}, {4, 2, 4}, {2, 1, 8}, {4, 1, 8}};
     pools_gb = {12, 6};
   } else if (tier != "demo") {
     throw std::invalid_argument("unknown sweep tier " + tier + " (want small|full|demo)");
@@ -58,8 +67,7 @@ inline std::vector<SweepCellSpec> sweep_matrix(const std::string& tier) {
       for (const Geometry& g : geometries) {
         for (int pool : pools_gb) {
           // The schedule axis only exists once there is a pipeline to
-          // schedule; S == 1 cells carry the "-" placeholder the gated
-          // benches use for their baseline rows.
+          // schedule; S == 1 cells carry the "-" placeholder.
           std::vector<std::string> schedules =
               g.stages > 1 ? std::vector<std::string>{"gpipe", "1f1b"}
                            : std::vector<std::string>{"-"};
@@ -90,5 +98,9 @@ inline std::vector<SweepCellSpec> sweep_matrix(const std::string& tier) {
   }
   return cells;
 }
+
+/// Whether a tier declares the cells bench/sweep_checks.hpp compares. The
+/// demo tier holds only the peer-staging cells, so its sweeps skip the checks.
+inline bool tier_has_checks(const std::string& tier) { return tier != "demo"; }
 
 }  // namespace sn::bench

@@ -16,12 +16,13 @@
 //                   [--report OUT.json] [--rel-band F] [--abs-band F]
 //                   [--allow-missing] [--quiet]
 //   trajectory_diff --schema-check KIND FILE [KIND FILE ...]
-//     KIND: pipeline_stages | hybrid_grid | stream_overlap |
-//           prefetch_lookahead | sweep | trajectory | chrome_trace |
-//           metrics | diff_report | trace_diff_report | cost_profile
+//     KIND: stream_overlap | prefetch_lookahead | sweep | trajectory |
+//           chrome_trace | metrics | diff_report | trace_diff_report |
+//           cost_profile
 //
 // Exit codes: 0 = gate passed; 1 = regression / removed cells; 2 = usage,
 // I/O, parse or schema error.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +44,18 @@ int usage(const char* argv0) {
                "       %s --schema-check KIND FILE [KIND FILE ...]\n",
                argv0, argv0);
   return 2;
+}
+
+/// Whole-string parse of a band; exits 2 on anything else, so a typo such as
+/// "--rel-band abc" cannot silently tighten the gate to 0.
+double parse_band(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) {
+    std::fprintf(stderr, "%s wants a number, got \"%s\"\n", flag, text);
+    std::exit(2);
+  }
+  return v;
 }
 
 int run_schema_checks(int argc, char** argv, int i) {
@@ -93,9 +106,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--report") == 0) {
       report_path = next(a);
     } else if (std::strcmp(a, "--rel-band") == 0) {
-      opt.rel_band = std::atof(next(a));
+      opt.rel_band = parse_band(a, next(a));
     } else if (std::strcmp(a, "--abs-band") == 0) {
-      opt.abs_band = std::atof(next(a));
+      opt.abs_band = parse_band(a, next(a));
     } else if (std::strcmp(a, "--allow-missing") == 0) {
       opt.allow_missing = true;
     } else if (std::strcmp(a, "--quiet") == 0) {

@@ -11,7 +11,7 @@
 //         [--iters N] [--pool-gb G] [--peer-staging]
 //         [--trace out.json] [--metrics out.json]
 //         [--profile-out prof.json] [--profile-in prof.json]
-//         [--prom out.prom] [--metrics-listen PORT]
+//         [--prom out.prom]
 //
 // --pool-gb caps the device pool (default: the cluster preset's capacity)
 // and --peer-staging enables the peer-memory staging tier, so the audit can
@@ -31,8 +31,7 @@
 // costs replacing the analytic roofline, prints analytic-vs-profile cuts
 // with both evaluated under OBSERVED stage seconds, and runs the traced
 // schedule on the profile-guided cuts. --prom dumps the Prometheus text
-// exposition; --metrics-listen serves ONE scrape of it on 127.0.0.1:PORT
-// (port 0 picks an ephemeral port) — the surface the serving path will bind.
+// exposition.
 //
 // The AUDIT additionally fails when any device's span ring evicted spans
 // (TraceRecorder::dropped() > 0): attribution over a truncated ring would
@@ -41,7 +40,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,7 +49,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/cost_profile.hpp"
 #include "obs/metrics.hpp"
-#include "obs/metrics_serve.hpp"
 #include "obs/trace_analyzer.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
@@ -159,7 +156,6 @@ void print_partition_comparison(const std::string& name, int microbatch, int sta
 int main(int argc, char** argv) {
   std::string name = "VGG16";
   int stages = 2, replicas = 2, microbatches = 4, batch = 32, iters = 2, pool_gb = 0;
-  int listen_port = -1;
   bool peer_staging = false;
   std::string sched_arg = "1f1b";
   std::string trace_path, metrics_path, profile_out, profile_in, prom_path;
@@ -197,8 +193,6 @@ int main(int argc, char** argv) {
       profile_in = argv[++i];
     } else if (std::strcmp(argv[i], "--prom") == 0 && i + 1 < argc) {
       prom_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-listen") == 0) {
-      next(&listen_port);
     } else if (argv[i][0] != '-') {
       name = argv[i];
     } else {
@@ -327,34 +321,18 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote metrics %s\n", metrics_path.c_str());
   }
-  if (!prom_path.empty() || listen_port >= 0) {
+  if (!prom_path.empty()) {
     obs::MetricsRegistry m;
     an.fill_metrics(m);
     const std::string prom = m.to_prometheus();
-    if (!prom_path.empty()) {
-      std::FILE* f = std::fopen(prom_path.c_str(), "w");
-      if (!f || std::fwrite(prom.data(), 1, prom.size(), f) != prom.size()) {
-        std::fprintf(stderr, "failed to write %s\n", prom_path.c_str());
-        if (f) std::fclose(f);
-        return 1;
-      }
-      std::fclose(f);
-      std::printf("wrote prometheus exposition %s\n", prom_path.c_str());
+    std::FILE* f = std::fopen(prom_path.c_str(), "w");
+    if (!f || std::fwrite(prom.data(), 1, prom.size(), f) != prom.size()) {
+      std::fprintf(stderr, "failed to write %s\n", prom_path.c_str());
+      if (f) std::fclose(f);
+      return 1;
     }
-    if (listen_port >= 0) {
-      try {
-        obs::OneShotTextServer srv(listen_port);
-        std::printf("metrics: serving one scrape on 127.0.0.1:%d\n", srv.port());
-        std::fflush(stdout);
-        if (!srv.serve_once(prom)) {
-          std::fprintf(stderr, "metrics: scrape failed\n");
-          return 1;
-        }
-      } catch (const std::runtime_error& e) {
-        std::fprintf(stderr, "metrics: %s\n", e.what());
-        return 1;
-      }
-    }
+    std::fclose(f);
+    std::printf("wrote prometheus exposition %s\n", prom_path.c_str());
   }
 
   std::printf("%s\n", ok ? "AUDIT OK" : "AUDIT FAILED");

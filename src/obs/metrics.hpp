@@ -50,8 +50,7 @@ class MetricsRegistry {
   /// histograms rendered as CUMULATIVE `_bucket{le="..."}` series plus
   /// `_sum`/`_count` (the exposition contract; the JSON export keeps raw
   /// per-bucket counts). Deterministic: same sorted-map iteration as
-  /// write_json. This is the scrape surface the serving path binds — see
-  /// obs::OneShotTextServer and trace_report --metrics-listen.
+  /// write_json. trace_report --prom FILE writes it.
   std::string to_prometheus() const;
 
   /// The exposition name for a registry key ("spans.compute" ->

@@ -46,99 +46,6 @@ void add_cell(CellMap* cells, const std::string& origin, const std::string& key,
   }
 }
 
-/// Read a row's optional {repeats, <m>_lo, <m>_hi} dispersion trio for the
-/// primary metric `m`; all-or-nothing, lo <= median <= hi enforced. Returns
-/// the stat for the row's already-read median value.
-MetricStat row_stat(const util::JsonValue& row, const std::string& metric, double median,
-                    const std::string& origin, const std::string& ctx) {
-  MetricStat s{median, median, median, 1};
-  const util::JsonValue* rep = row.find("repeats");
-  const util::JsonValue* lo = row.find(metric + "_lo");
-  const util::JsonValue* hi = row.find(metric + "_hi");
-  if (!rep && !lo && !hi) return s;
-  if (!rep || !lo || !hi || !rep->is_number() || !lo->is_number() || !hi->is_number()) {
-    fail(origin, ctx + ": dispersion fields must come as the full {repeats, " + metric +
-                     "_lo, " + metric + "_hi} trio");
-  }
-  s.repeats = static_cast<int>(rep->as_number());
-  s.lo = lo->as_number();
-  s.hi = hi->as_number();
-  if (s.repeats < 1) fail(origin, ctx + ": repeats must be >= 1");
-  if (!(s.lo <= median && median <= s.hi)) {
-    fail(origin, ctx + ": dispersion violates " + metric + "_lo <= " + metric + " <= " +
-                     metric + "_hi");
-  }
-  return s;
-}
-
-size_t load_pipeline_stages(const util::JsonValue& sec, const std::string& origin,
-                            CellMap* cells) {
-  const std::string kSec = "pipeline_stages";
-  req_number(sec, "global_batch", origin, kSec);
-  const util::JsonValue* configs = sec.find("configs");
-  if (!configs || !configs->is_array() || configs->size() == 0) {
-    fail(origin, kSec + ": missing non-empty \"configs\" array");
-  }
-  bool saw_1f1b = false;
-  for (size_t i = 0; i < configs->size(); ++i) {
-    const util::JsonValue& row = configs->at(i);
-    std::string ctx = kSec + " row " + std::to_string(i);
-    std::string net = req_string(row, "net", origin, ctx);
-    std::string sched = req_string(row, "schedule", origin, ctx);
-    int stages = static_cast<int>(req_number(row, "stages", origin, ctx));
-    int mb = static_cast<int>(req_number(row, "microbatches", origin, ctx));
-    saw_1f1b = saw_1f1b || sched == "1f1b";
-    std::map<std::string, MetricStat> m;
-    double seconds = req_number(row, "seconds", origin, ctx);
-    m["seconds"] = row_stat(row, "seconds", seconds, origin, ctx);
-    for (const char* k : {"bubble_seconds", "bubble_frac", "p2p_bytes", "p2p_seconds"}) {
-      double v = req_number(row, k, origin, ctx);
-      m[k] = MetricStat{v, v, v, 1};
-    }
-    add_cell(cells, origin,
-             kSec + "/" + net + "/s" + std::to_string(stages) + "m" + std::to_string(mb) + "/" +
-                 sched,
-             std::move(m));
-  }
-  if (!saw_1f1b) fail(origin, kSec + ": no row with schedule \"1f1b\" (axis missing)");
-  return configs->size();
-}
-
-size_t load_hybrid_grid(const util::JsonValue& sec, const std::string& origin, CellMap* cells) {
-  const std::string kSec = "hybrid_grid";
-  req_number(sec, "global_batch", origin, kSec);
-  const util::JsonValue* configs = sec.find("configs");
-  if (!configs || !configs->is_array() || configs->size() == 0) {
-    fail(origin, kSec + ": missing non-empty \"configs\" array");
-  }
-  bool saw_hybrid_1f1b = false;
-  for (size_t i = 0; i < configs->size(); ++i) {
-    const util::JsonValue& row = configs->at(i);
-    std::string ctx = kSec + " row " + std::to_string(i);
-    std::string net = req_string(row, "net", origin, ctx);
-    std::string kind = req_string(row, "kind", origin, ctx);
-    std::string sched = req_string(row, "schedule", origin, ctx);
-    int stages = static_cast<int>(req_number(row, "stages", origin, ctx));
-    int replicas = static_cast<int>(req_number(row, "replicas", origin, ctx));
-    int mb = static_cast<int>(req_number(row, "microbatches", origin, ctx));
-    saw_hybrid_1f1b = saw_hybrid_1f1b || (kind == "hybrid" && sched == "1f1b");
-    std::map<std::string, MetricStat> m;
-    double seconds = req_number(row, "seconds", origin, ctx);
-    m["seconds"] = row_stat(row, "seconds", seconds, origin, ctx);
-    for (const char* k : {"img_per_s", "bubble_seconds", "allreduce_seconds",
-                          "allreduce_exposed_seconds", "p2p_bytes"}) {
-      double v = req_number(row, k, origin, ctx);
-      m[k] = MetricStat{v, v, v, 1};
-    }
-    add_cell(cells, origin,
-             kSec + "/" + net + "/" + kind + "/s" + std::to_string(stages) + "r" +
-                 std::to_string(replicas) + "m" + std::to_string(mb) + "/" + sched,
-             std::move(m));
-  }
-  if (!saw_hybrid_1f1b) fail(origin, kSec + ": no hybrid row with schedule \"1f1b\"");
-  return configs->size();
-}
-
 size_t load_stream_overlap(const util::JsonValue& sec, const std::string& origin,
                            CellMap* cells) {
   const std::string kSec = "stream_overlap";
@@ -269,48 +176,34 @@ size_t load_point(const util::JsonValue& doc, const std::string& origin, Traject
   const util::JsonValue* tp = doc.find("trajectory_point");
   if (!tp || !tp->is_number()) {
     fail(origin, "not a trajectory point: missing numeric \"trajectory_point\" (raw bench "
-                 "output and sweep files cannot be diffed directly — merge them with "
+                 "output and sweep files cannot be diffed directly — build a point with "
                  "bench/run_trajectory.sh first)");
   }
   int point = static_cast<int>(tp->as_number());
-  int version = 0;
-  if (const util::JsonValue* sv = doc.find("schema_version")) {
-    if (!sv->is_number() || sv->as_number() != 1.0) {
-      fail(origin, "unsupported schema_version (this tool understands legacy files and "
-                   "version 1)");
-    }
-    version = 1;
+  const util::JsonValue* sv = doc.find("schema_version");
+  if (!sv || !sv->is_number() || sv->as_number() != 1.0) {
+    fail(origin, "schema_version must be 1 (unversioned and newer points are not understood)");
   }
   CellMap cells;
   size_t rows = 0;
   bool saw_sweep = false;
   for (const auto& [key, sec] : doc.entries()) {
     if (key == "trajectory_point" || key == "schema_version") continue;
-    if (key == "pipeline_stages") {
-      rows += load_pipeline_stages(sec, origin, &cells);
-    } else if (key == "hybrid_grid") {
-      rows += load_hybrid_grid(sec, origin, &cells);
-    } else if (key == "stream_overlap") {
+    if (key == "stream_overlap") {
       rows += load_stream_overlap(sec, origin, &cells);
     } else if (key == "prefetch_lookahead") {
       rows += load_prefetch_lookahead(sec, origin, &cells);
     } else if (key == "sweep") {
-      if (version == 0) {
-        fail(origin, "mixed schema: \"sweep\" section in a legacy (unversioned) file");
-      }
       saw_sweep = true;
       rows += load_sweep(sec, origin, &cells, point);
     } else {
       fail(origin, "unknown section \"" + key + "\" (mixed or newer schema?)");
     }
   }
-  if (version == 1 && !saw_sweep) {
-    fail(origin, "schema_version 1 requires a \"sweep\" section");
-  }
+  if (!saw_sweep) fail(origin, "schema_version 1 requires a \"sweep\" section");
   if (cells.empty()) fail(origin, "trajectory point has no bench sections");
   if (out) {
     out->point = point;
-    out->schema_version = version;
     out->origin = origin;
     out->cells = std::move(cells);
   }
@@ -695,8 +588,6 @@ void write_diff_report(const DiffReport& rep, const DiffOptions& opt, util::Json
 
 size_t schema_check(const util::JsonValue& doc, const std::string& kind,
                     const std::string& origin) {
-  if (kind == "pipeline_stages") return load_pipeline_stages(doc, origin, nullptr);
-  if (kind == "hybrid_grid") return load_hybrid_grid(doc, origin, nullptr);
   if (kind == "stream_overlap") return load_stream_overlap(doc, origin, nullptr);
   if (kind == "prefetch_lookahead") return load_prefetch_lookahead(doc, origin, nullptr);
   if (kind == "sweep") return load_sweep(doc, origin, nullptr, 0);

@@ -2,17 +2,13 @@
 // the noise-banded diff between two points, and the schema checks CI runs on
 // every bench emitter's output.
 //
-// A trajectory point (one file per PR that moved a gated number) merges the
-// CI-gated benches' --json output plus the bench_sweep matrix. Two on-disk
-// generations exist:
-//   * legacy (BENCH_6.json, schema_version absent = 0): the four bench
-//     sections only, rows single-shot;
-//   * v1 (BENCH_8.json onward, "schema_version": 1): same sections, rows
-//     carry repeats + seconds_lo/seconds_hi dispersion, plus a "sweep"
-//     section of {net x grid x link x pool budget x schedule} cells whose
-//     every metric records {median, lo, hi, n} over R repeats.
-// Both normalize into the same flat cell-key -> metric -> stat map, so the
-// diff joins across generations.
+// A trajectory point ("schema_version": 1, one file per PR that moved a
+// gated number) holds the bench_sweep matrix in its "sweep" section: cells
+// of {net x grid x link x pool budget x schedule} whose every metric records
+// {median, lo, hi, n} over R repeats. Optional "stream_overlap" and
+// "prefetch_lookahead" sections carry those benches' single-shot rows. All
+// sections normalize into one flat cell-key -> metric -> stat map, which is
+// what the diff joins on.
 //
 // The diff classifies each gated metric's delta against a noise band built
 // from the RECORDED dispersion (max of both sides' hi-lo spreads) with a
@@ -45,7 +41,7 @@ class TrajectoryError : public std::runtime_error {
 };
 
 /// One metric's recorded statistics: median over n repeats plus the min/max
-/// dispersion envelope. Single-shot legacy rows collapse to lo == hi.
+/// dispersion envelope. Single-shot rows collapse to lo == hi.
 struct MetricStat {
   double median = 0.0;
   double lo = 0.0;
@@ -65,17 +61,16 @@ enum class MetricKind {
 MetricKind metric_kind(const std::string& name);
 
 struct TrajectoryPoint {
-  int point = 0;           ///< "trajectory_point"
-  int schema_version = 0;  ///< 0 = legacy merged file
-  std::string origin;      ///< file name, for error messages
-  /// Canonical cell key (e.g. "hybrid_grid/VGG16/hybrid/s2r2m8/1f1b",
-  /// "sweep/ResNet50/pcie/s2r2m4/pool6/gpipe") -> metric -> stat.
+  int point = 0;       ///< "trajectory_point"
+  std::string origin;  ///< file name, for error messages
+  /// Canonical cell key (e.g. "sweep/ResNet50/pcie/s2r2m4/pool6/gpipe",
+  /// "stream_overlap/AlexNet/b128") -> metric -> stat.
   std::map<std::string, std::map<std::string, MetricStat>> cells;
 };
 
 /// Normalize a parsed BENCH_<n>.json document. Throws TrajectoryError on
-/// malformed or mixed-schema input (unknown sections, sweep cells in a
-/// legacy file, unsupported schema_version, missing required fields).
+/// malformed or mixed-schema input (unknown sections, a missing or
+/// unsupported schema_version, missing required fields).
 TrajectoryPoint load_trajectory(const util::JsonValue& doc, const std::string& origin);
 
 enum class DeltaClass {
@@ -142,9 +137,8 @@ void write_diff_report(const DiffReport& rep, const DiffOptions& opt, util::Json
 
 /// Validate a bench/tool JSON document against its expected shape; returns
 /// the row/cell/event count, throws TrajectoryError naming the violation.
-/// Kinds: pipeline_stages, hybrid_grid, stream_overlap, prefetch_lookahead,
-/// sweep, trajectory, chrome_trace, metrics, diff_report, trace_diff_report,
-/// cost_profile.
+/// Kinds: stream_overlap, prefetch_lookahead, sweep, trajectory,
+/// chrome_trace, metrics, diff_report, trace_diff_report, cost_profile.
 size_t schema_check(const util::JsonValue& doc, const std::string& kind,
                     const std::string& origin);
 

@@ -1,8 +1,8 @@
 // perf-trajectory gate semantics: an out-of-band regression fails and is
 // named, an improvement passes, jitter inside the recorded noise band
-// passes, dropped/renamed cells are named, malformed and mixed-schema input
-// is rejected, and the legacy BENCH_6 shape normalizes into the same cell
-// map as schema_version-1 points.
+// passes, dropped/renamed cells are named, malformed, unversioned and
+// mixed-schema input is rejected, and the stream_overlap/prefetch_lookahead
+// sections normalize into the same cell map as the sweep.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -56,6 +56,13 @@ std::string sweep_point(int point, const std::string& cell_a_metrics,
                   "\"microbatches\": 4, \"pool_gb\": 12, \"schedule\": \"gpipe\", " +
                   cell_b_metrics + " }\n]\n}\n}";
   return d;
+}
+
+/// `point` with extra top-level sections spliced in after its schema_version.
+std::string with_sections(std::string point, const std::string& sections) {
+  const std::string anchor = "\"schema_version\": 1,\n";
+  point.insert(point.find(anchor) + anchor.size(), sections + ",\n");
+  return point;
 }
 
 TrajectoryPoint load(const std::string& text, const std::string& origin = "<test>") {
@@ -174,10 +181,24 @@ TEST(TrajectoryDiff, MalformedInputRejected) {
 }
 
 TEST(TrajectoryDiff, MixedSchemaRejected) {
-  // sweep section inside a legacy (unversioned) file.
-  std::string mixed = sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
-  mixed.replace(mixed.find("\"schema_version\": 1,\n"), 21, "");
-  EXPECT_THROW(load(mixed), TrajectoryError);
+  // An unversioned file, whatever its sections.
+  std::string unversioned = sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
+  unversioned.replace(unversioned.find("\"schema_version\": 1,\n"), 21, "");
+  EXPECT_THROW(load(unversioned), TrajectoryError);
+
+  // A v1 point carrying a section of the retired bench generation.
+  const std::string retired = with_sections(
+      sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2)),
+      R"("pipeline_stages": {"global_batch": 32, "configs": [
+        {"net": "VGG16", "schedule": "1f1b", "stages": 2, "microbatches": 4,
+         "seconds": 0.18, "bubble_seconds": 0.008, "bubble_frac": 0.15,
+         "p2p_bytes": 1000, "p2p_seconds": 0.001}]})");
+  try {
+    load(retired);
+    FAIL() << "expected TrajectoryError";
+  } catch (const TrajectoryError& e) {
+    EXPECT_NE(std::string(e.what()).find("pipeline_stages"), std::string::npos);
+  }
 
   // v1 outer point whose sweep section claims a different generation.
   std::string skewed = sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
@@ -194,7 +215,10 @@ TEST(TrajectoryDiff, MixedSchemaRejected) {
   EXPECT_THROW(load(R"({"trajectory_point": 9, "schema_version": 1})"), TrajectoryError);
 
   // Unknown sections mean a newer or corrupted generation.
-  EXPECT_THROW(load(R"({"trajectory_point": 6, "mystery": {}})"), TrajectoryError);
+  EXPECT_THROW(
+      load(with_sections(sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2)),
+                         R"("mystery": {})")),
+      TrajectoryError);
 }
 
 TEST(TrajectoryDiff, SweepStatsValidated) {
@@ -203,30 +227,8 @@ TEST(TrajectoryDiff, SweepStatsValidated) {
                TrajectoryError);
 }
 
-TEST(TrajectoryDiff, LegacyBench6ShapeNormalizes) {
-  const char* legacy = R"({
-    "trajectory_point": 6,
-    "pipeline_stages": {
-      "global_batch": 32,
-      "configs": [
-        {"net": "VGG16", "schedule": "gpipe", "stages": 2, "microbatches": 4,
-         "seconds": 2.0e-1, "bubble_seconds": 1.0e-2, "bubble_frac": 0.2,
-         "p2p_bytes": 1000, "p2p_seconds": 1.0e-3},
-        {"net": "VGG16", "schedule": "1f1b", "stages": 2, "microbatches": 4,
-         "seconds": 1.8e-1, "bubble_seconds": 8.0e-3, "bubble_frac": 0.15,
-         "p2p_bytes": 1000, "p2p_seconds": 1.0e-3}
-      ]
-    },
-    "hybrid_grid": {
-      "global_batch": 32,
-      "configs": [
-        {"net": "VGG16", "kind": "hybrid", "schedule": "1f1b", "stages": 2,
-         "replicas": 2, "microbatches": 8, "seconds": 1.0e-1, "img_per_s": 320.0,
-         "bubble_seconds": 5.0e-3, "allreduce_seconds": 2.0e-3,
-         "allreduce_exposed_seconds": 0.0, "p2p_bytes": 2000}
-      ]
-    },
-    "stream_overlap": {
+TEST(TrajectoryDiff, StreamOverlapAndPrefetchSectionsNormalize) {
+  const std::string sections = R"("stream_overlap": {
       "micro": {"serialized_s": 1.0e-2, "dual_s": 6.0e-3, "d2h_seconds": 5.0e-3,
                 "h2d_seconds": 5.0e-3, "overlap_ratio": 1.7},
       "nets": [
@@ -239,22 +241,30 @@ TEST(TrajectoryDiff, LegacyBench6ShapeNormalizes) {
         {"name": "AlexNet", "batch": 1024, "best_lookahead": 2,
          "stall_ms": [5.0, 2.0, 1.0, 1.5, 2.5]}
       ]
-    }
-  })";
-  TrajectoryPoint p = load(legacy);
-  EXPECT_EQ(p.point, 6);
-  EXPECT_EQ(p.schema_version, 0);
-  EXPECT_EQ(p.cells.count("pipeline_stages/VGG16/s2m4/1f1b"), 1u);
-  EXPECT_EQ(p.cells.count("hybrid_grid/VGG16/hybrid/s2r2m8/1f1b"), 1u);
+    })";
+  const std::string base = sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
+  TrajectoryPoint p = load(with_sections(base, sections));
+  EXPECT_EQ(p.point, 90);
+  EXPECT_EQ(p.cells.count(kCellA), 1u);
   EXPECT_EQ(p.cells.count("stream_overlap/micro"), 1u);
   EXPECT_EQ(p.cells.count("stream_overlap/AlexNet/b128"), 1u);
   EXPECT_EQ(p.cells.count("prefetch_lookahead/AlexNet/b1024"), 1u);
-  // Legacy single-shot rows collapse to a degenerate envelope.
-  const perf::MetricStat& s = p.cells["pipeline_stages/VGG16/s2m4/1f1b"]["seconds"];
+  // The "ok" bool becomes a 0/1 metric.
+  EXPECT_DOUBLE_EQ(p.cells["stream_overlap/AlexNet/b128"]["ok"].median, 1.0);
+  // Single-shot rows collapse to a degenerate envelope.
+  const perf::MetricStat& s = p.cells["stream_overlap/AlexNet/b128"]["dual_ms"];
   EXPECT_EQ(s.repeats, 1);
   EXPECT_DOUBLE_EQ(s.lo, s.hi);
   // Per-lookahead stalls fan out into gated stall_ms_l<k> metrics.
-  EXPECT_EQ(p.cells["prefetch_lookahead/AlexNet/b1024"].count("stall_ms_l0"), 1u);
+  const auto& pf = p.cells["prefetch_lookahead/AlexNet/b1024"];
+  for (int l = 0; l < 5; ++l) EXPECT_EQ(pf.count("stall_ms_l" + std::to_string(l)), 1u);
+  EXPECT_EQ(pf.count("stall_ms_l5"), 0u);
+  EXPECT_DOUBLE_EQ(pf.at("stall_ms_l2").median, 1.0);
+
+  // "ok" must be a bool, not a number.
+  std::string numeric_ok = sections;
+  numeric_ok.replace(numeric_ok.find("\"ok\": true"), 10, "\"ok\": 1");
+  EXPECT_THROW(load(with_sections(base, numeric_ok)), TrajectoryError);
 }
 
 TEST(TrajectoryDiff, ReportRoundTripsAndPassesItsOwnSchemaCheck) {
@@ -276,6 +286,9 @@ TEST(TrajectoryDiff, ReportRoundTripsAndPassesItsOwnSchemaCheck) {
 TEST(TrajectoryDiff, SchemaCheckRejectsWrongKind) {
   util::JsonValue doc = util::JsonValue::parse(kBaseline, "<point>");
   EXPECT_NO_THROW(perf::schema_check(doc, "trajectory", "<point>"));
+  // A whole point is not a bare sweep document (no "kind": "sweep").
+  EXPECT_THROW(perf::schema_check(doc, "sweep", "<point>"), TrajectoryError);
+  // Retired kinds are unknown kinds.
   EXPECT_THROW(perf::schema_check(doc, "pipeline_stages", "<point>"), TrajectoryError);
   EXPECT_THROW(perf::schema_check(doc, "nonsense_kind", "<point>"), TrajectoryError);
 }
