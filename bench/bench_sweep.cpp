@@ -37,8 +37,6 @@
 // Exit codes: 0 = swept and every check held; 1 = a check failed or a file
 // could not be written; 2 = bad arguments.
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -49,6 +47,7 @@
 
 #include <sys/stat.h>
 
+#include "bench/cli_args.hpp"
 #include "bench/common.hpp"
 #include "bench/sweep_checks.hpp"
 #include "dist/hybrid_parallel.hpp"
@@ -59,20 +58,6 @@
 using namespace sn;
 
 namespace {
-
-/// Whole-string unsigned parse (decimal, or hex with 0x); exits 2 naming the
-/// flag on anything else, so "--repeats 3x" cannot quietly read as 3.
-uint64_t parse_count(const char* flag, const char* text, uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 0);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
-      v > max) {
-    std::fprintf(stderr, "%s wants a non-negative integer, got \"%s\"\n", flag, text);
-    std::exit(2);
-  }
-  return v;
-}
 
 sim::ClusterSpec cluster_for(const bench::SweepCellSpec& s) {
   int devices = s.stages * s.replicas;
@@ -107,11 +92,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--tier") == 0) {
       tier = next(a);
     } else if (std::strcmp(a, "--repeats") == 0) {
-      repeats = static_cast<int>(parse_count(a, next(a), INT_MAX));
+      repeats = static_cast<int>(bench::parse_count(a, next(a), 0, INT_MAX));
     } else if (std::strcmp(a, "--point") == 0) {
-      point = static_cast<int>(parse_count(a, next(a), INT_MAX));
+      point = static_cast<int>(bench::parse_count(a, next(a), 0, INT_MAX));
     } else if (std::strcmp(a, "--seed") == 0) {
-      data_seed = parse_count(a, next(a), UINT64_MAX);
+      data_seed = bench::parse_count(a, next(a), 0, UINT64_MAX);
     } else if (std::strcmp(a, "--peer-staging") == 0) {
       staging_mode = next(a);
     } else {

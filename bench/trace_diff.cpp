@@ -12,12 +12,14 @@
 //
 // Exit codes: 0 = diff computed (a delta is information, not a failure —
 // gating stays with trajectory_diff's noise bands); 2 = usage, I/O or parse
-// error.
+// error (including a --movers value that is not a whole integer >= 1).
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "bench/cli_args.hpp"
 #include "obs/trace_diff.hpp"
 #include "util/json_reader.hpp"
 
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--report") == 0) {
       report_path = next(a);
     } else if (std::strcmp(a, "--movers") == 0) {
-      movers = static_cast<size_t>(std::atoi(next(a)));
+      movers = bench::parse_count(a, next(a), 1, INT_MAX);
     } else if (std::strcmp(a, "--quiet") == 0) {
       quiet = true;
     } else {

@@ -313,11 +313,9 @@ int main(int argc, char** argv) {
   // direction (the multi-stream TransferEngine's occupancy counters).
   const auto& mc = rt.machine().counters();
   std::printf("per-stream: d2h %s MB / d2h_seconds=%.4f (%llu worker copies), "
-              "h2d %s MB / h2d_seconds=%.4f (%llu worker copies), "
-              "staged_chunks=%llu\n",
+              "h2d %s MB / h2d_seconds=%.4f (%llu worker copies)\n",
               mb(mc.bytes_d2h).c_str(), mc.seconds_d2h,
               static_cast<unsigned long long>(xfer.dma_copies_d2h), mb(mc.bytes_h2d).c_str(),
-              mc.seconds_h2d, static_cast<unsigned long long>(xfer.dma_copies_h2d),
-              static_cast<unsigned long long>(xfer.staged_chunks));
+              mc.seconds_h2d, static_cast<unsigned long long>(xfer.dma_copies_h2d));
   return 0;
 }

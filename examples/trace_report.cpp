@@ -21,8 +21,8 @@
 // The run is an S x R dist::HybridParallelTrainer grid: replicas > 1 adds
 // per-stage row all-reduces (the exposed-collective surface); replicas == 1
 // is the plain S-stage pipeline.
-// --trace exports the Perfetto-loadable Chrome-trace JSON (wall-clock DMA
-// staging rows included); --metrics exports the analyzer's counters /
+// --trace exports the Perfetto-loadable Chrome-trace JSON (with wall-clock
+// stamps); --metrics exports the analyzer's counters /
 // gauges / stall histogram through the shared util::JsonWriter path.
 //
 // Profile-guided partitioning loop (ISSUE 10): --profile-out persists the
@@ -36,6 +36,10 @@
 // The AUDIT additionally fails when any device's span ring evicted spans
 // (TraceRecorder::dropped() > 0): attribution over a truncated ring would
 // reconcile against nothing.
+//
+// Integer flags must be whole integers >= 1 (--pool-gb >= 0) and --schedule
+// one of gpipe / 1f1b; anything else exits 2 with a usage error.
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/cli_args.hpp"
 #include "bench/common.hpp"
 #include "dist/hybrid_parallel.hpp"
 #include "graph/partitioner.hpp"
@@ -60,6 +65,7 @@ using namespace sn;
 namespace {
 
 std::string ms(double s) { return util::format_double(s * 1e3, 3); }
+
 
 core::RuntimeOptions sim_options(const sim::ClusterSpec& cluster, int pool_gb) {
   core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons, cluster.device);
@@ -160,29 +166,34 @@ int main(int argc, char** argv) {
   std::string sched_arg = "1f1b";
   std::string trace_path, metrics_path, profile_out, profile_in, prom_path;
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](int* out) {
+    auto next_int = [&](int* out, uint64_t min) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", argv[i]);
         std::exit(2);
       }
-      *out = std::atoi(argv[++i]);
+      const char* flag = argv[i];
+      *out = static_cast<int>(bench::parse_count(flag, argv[++i], min, INT_MAX));
     };
     if (std::strcmp(argv[i], "--stages") == 0) {
-      next(&stages);
+      next_int(&stages, 1);
     } else if (std::strcmp(argv[i], "--replicas") == 0) {
-      next(&replicas);
+      next_int(&replicas, 1);
     } else if (std::strcmp(argv[i], "--microbatches") == 0) {
-      next(&microbatches);
+      next_int(&microbatches, 1);
     } else if (std::strcmp(argv[i], "--batch") == 0) {
-      next(&batch);
+      next_int(&batch, 1);
     } else if (std::strcmp(argv[i], "--iters") == 0) {
-      next(&iters);
+      next_int(&iters, 1);
     } else if (std::strcmp(argv[i], "--pool-gb") == 0) {
-      next(&pool_gb);
+      next_int(&pool_gb, 0);
     } else if (std::strcmp(argv[i], "--peer-staging") == 0) {
       peer_staging = true;
     } else if (std::strcmp(argv[i], "--schedule") == 0 && i + 1 < argc) {
       sched_arg = argv[++i];
+      if (sched_arg != "gpipe" && sched_arg != "1f1b") {
+        std::fprintf(stderr, "--schedule wants gpipe or 1f1b, got \"%s\"\n", sched_arg.c_str());
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {

@@ -79,14 +79,11 @@ Runtime::Runtime(graph::Net& net, RuntimeOptions opts)
 
   // Precompute the per-forward-step drop lists for recomputation: droppable
   // tensors whose forward consumers are done but that backward still needs.
-  // fwd_free_lists_ additionally covers every tensor (inference mode).
   drop_after_fwd_.resize(nfwd);
-  fwd_free_lists_.resize(nfwd);
   for (const auto& t : net.registry().all()) {
     uint64_t uid = t->uid();
     int lf = last_forward_use_[uid];
     if (lf < 0 || lf >= nfwd) continue;
-    if (!liveness_.is_persistent(uid)) fwd_free_lists_[lf].push_back(uid);
     if (!plan_.droppable(t.get())) continue;
     if (liveness_.last_occurrence(uid) > lf) drop_after_fwd_[lf].push_back(uid);
   }
@@ -244,7 +241,6 @@ void Runtime::run_layer_pass(graph::Layer* layer, bool forward, const float* inp
                              const int32_t* labels, double* loss_out, StepTelemetry* tele) {
   graph::ExecContext ctx;
   ctx.real = opts_.real;
-  ctx.inference = inference_mode_;
   ctx.buf = [this](const tensor::Tensor* t) { return device_ptr(t); };
   ctx.iter = iter_;
   ctx.seed = opts_.seed;
@@ -364,11 +360,6 @@ void Runtime::exec_step(const graph::Step& step, const float* input, const int32
   tele.h2d_busy_seconds = machine_.counters().seconds_h2d;
   tele.p2p_busy_seconds = machine_.counters().seconds_p2p;
   tele.compute_seconds = machine_.counters().compute_time;
-  if (telemetry_capacity_ > 0 && telemetry_.size() >= telemetry_capacity_) {
-    const size_t excess = telemetry_.size() - telemetry_capacity_ + 1;
-    telemetry_.erase(telemetry_.begin(), telemetry_.begin() + static_cast<ptrdiff_t>(excess));
-    telemetry_dropped_ += excess;
-  }
   telemetry_.push_back(tele);
 
   lock(uses, false);
@@ -638,63 +629,6 @@ void Runtime::mark_external_pending(const tensor::Tensor* t) {
 
 void Runtime::mark_external_landed(const tensor::Tensor* t) {
   external_pending_.erase(t->uid());
-}
-
-IterationStats Runtime::forward_iteration(const float* input, const int32_t* labels,
-                                          std::vector<float>* probs_out) {
-  if (!initialized_) initialize();
-  inference_mode_ = true;
-  telemetry_.clear();
-  zeroed_grads_.clear();
-  loss_sum_ = 0.0;
-  iter_peak_ = pool_->allocator().in_use();
-  const auto c0 = machine_.counters();
-  const double t0 = machine_.now();
-
-  const int nfwd = static_cast<int>(net_.route().size());
-  double loss = 0.0;
-  for (const auto& step : net_.steps()) {
-    if (step.index >= nfwd) break;
-    exec_step(step, input, labels, &loss);
-    // Inference liveness: free every non-persistent tensor at its last
-    // FORWARD use — backward dependencies do not exist here.
-    for (uint64_t uid : fwd_free_lists_[static_cast<size_t>(step.index)]) {
-      tensor::Tensor* t = tensor_by_uid(uid);
-      if (liveness_.is_persistent(uid) || t->locked()) continue;
-      if (t == net_.loss_layer()->output()) continue;  // caller may read it
-      pool_->free_peer(t);
-      pool_->free_device(t);
-      pool_->free_host(t);
-      t->residency = tensor::Residency::kNone;
-    }
-    pool_->poll_offloads(step.index);
-  }
-
-  if (probs_out && opts_.real) {
-    tensor::Tensor* p = net_.loss_layer()->output();
-    *probs_out = read_tensor(p);
-  }
-  // Release the retained loss output now that it has been read.
-  tensor::Tensor* p = net_.loss_layer()->output();
-  if (!liveness_.is_persistent(p->uid())) {
-    pool_->free_device(p);
-    p->residency = tensor::Residency::kNone;
-  }
-
-  const auto c1 = machine_.counters();
-  IterationStats st;
-  st.loss = loss;
-  st.loss_sum = loss_sum_;
-  st.seconds = machine_.now() - t0;
-  st.peak_mem = iter_peak_;
-  st.bytes_d2h = c1.bytes_d2h - c0.bytes_d2h;
-  st.bytes_h2d = c1.bytes_h2d - c0.bytes_h2d;
-  st.host_peak = pool_->host_pool().peak_in_use();
-  st.d2h_seconds = c1.seconds_d2h - c0.seconds_d2h;
-  st.h2d_seconds = c1.seconds_h2d - c0.seconds_h2d;
-  ++iter_;
-  inference_mode_ = false;
-  return st;
 }
 
 void Runtime::apply_sgd(float lr, float momentum, float weight_decay) {

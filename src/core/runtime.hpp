@@ -103,12 +103,6 @@ class Runtime {
   /// step series is readable afterwards. Off by default.
   void set_retain_telemetry(bool retain) { retain_telemetry_ = retain; }
 
-  /// Cap the retained step-telemetry series: once `cap` records exist the
-  /// oldest are evicted (bounds memory on long retained runs). 0 = unbounded
-  /// (the default, preserving historical behaviour).
-  void set_telemetry_capacity(size_t cap) { telemetry_capacity_ = cap; }
-  size_t telemetry_dropped() const { return telemetry_dropped_; }
-
   // --- externally produced tensors (pipeline stage boundaries) --------------
 
   /// Pin a tensor no in-stage layer defines (a P2P landing site: the
@@ -123,12 +117,6 @@ class Runtime {
 
   /// The P2P landing for `t` has been waited out; plans may include it again.
   void mark_external_landed(const tensor::Tensor* t);
-
-  /// Forward-only pass (inference). Tensors are freed at their last
-  /// *forward* use, so the scheduled footprint is far below training's. If
-  /// `probs_out` is non-null (real mode) it receives the loss layer's output.
-  IterationStats forward_iteration(const float* input, const int32_t* labels,
-                                   std::vector<float>* probs_out = nullptr);
 
   /// Vanilla SGD over all parameters (momentum kept host-side).
   void apply_sgd(float lr, float momentum = 0.0f, float weight_decay = 0.0f);
@@ -216,9 +204,6 @@ class Runtime {
   /// Per forward step: droppable tensors whose forward consumers finish
   /// there but that are still needed by the backward pass.
   std::vector<std::vector<uint64_t>> drop_after_fwd_;
-  /// Per forward step: every non-persistent tensor whose last forward use is
-  /// that step (inference-mode free lists).
-  std::vector<std::vector<uint64_t>> fwd_free_lists_;
 
   /// Remotely produced uids awaiting their P2P landing (prefetcher gate).
   std::unordered_set<uint64_t> external_pending_;
@@ -240,12 +225,8 @@ class Runtime {
   /// then use targeted chain replays instead of whole-segment eagerness
   /// (prevents replay/eviction livelock under extreme pressure).
   bool in_replay_ = false;
-  /// Set during forward_iteration: dropout becomes identity etc.
-  bool inference_mode_ = false;
 
   std::vector<StepTelemetry> telemetry_;
-  size_t telemetry_capacity_ = 0;  ///< 0 = unbounded
-  size_t telemetry_dropped_ = 0;   ///< records evicted by the cap
   std::unordered_map<const tensor::Tensor*, std::vector<float>> momentum_;
 };
 

@@ -45,10 +45,8 @@ struct StepTelemetry {
   // (§3.3.1): host-pool pressure plus cumulative transfer counters, so tests
   // can observe offloads/prefetches completing — including on the DMA thread
   // when the real async engine is active.
-  uint64_t host_in_use = 0;          ///< host-pool bytes in use (offloaded tensors;
-                                     ///< in real+async mode also the engine's
-                                     ///< pinned staging carve-out: a 2x256 KiB
-                                     ///< double buffer per PCIe-direction worker)
+  uint64_t host_in_use = 0;          ///< host-pool bytes in use (offloaded tensors
+                                     ///< only, in every backend)
   uint64_t host_peak = 0;            ///< host-pool peak bytes so far
   uint64_t d2h_submitted = 0;        ///< cumulative offload submissions
   uint64_t h2d_submitted = 0;        ///< cumulative prefetch/fetch submissions

@@ -23,7 +23,7 @@ UnifiedTensorPool::UnifiedTensorPool(tensor::TensorRegistry& registry, sim::Mach
   } else {
     allocator_ = std::make_unique<mem::NativeAllocator>(machine, cfg_.device_capacity, cfg_.real);
   }
-  engine_ = make_transfer_engine(machine, host_pool_, cfg_.real, cfg_.async_transfers,
+  engine_ = make_transfer_engine(machine, host_pool_.pinned(), cfg_.real, cfg_.async_transfers,
                                  cfg_.device_id);
 }
 

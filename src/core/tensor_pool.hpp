@@ -248,8 +248,9 @@ class UnifiedTensorPool {
   std::unique_ptr<mem::GpuAllocator> allocator_;
   mem::HostPool host_pool_;
   TensorCache cache_;
-  std::unique_ptr<TransferEngine> engine_;  ///< declared after host_pool_: the
-                                            ///< DMA backend stages through it
+  std::unique_ptr<TransferEngine> engine_;  ///< declared after allocator_ and
+                                            ///< host_pool_: its DMA workers copy
+                                            ///< into their buffers, so it stops first
   PeerStagingGroup* group_ = nullptr;       ///< non-null while a member
 
   /// In-flight asynchronous fetch-backs, keyed by tensor uid. Ordered map:

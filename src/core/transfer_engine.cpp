@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "mem/host_pool.hpp"
 #include "obs/trace.hpp"
 #include "sim/cluster.hpp"
 
@@ -180,19 +179,12 @@ TransferStats TransferEngine::stats() const {
 // ---------------------------------------------------------------------------
 // DmaTransferEngine
 
-DmaTransferEngine::DmaTransferEngine(sim::Machine& machine, bool pinned,
-                                     mem::HostPool& staging_pool, uint64_t staging_bytes,
-                                     int device_id)
-    : TransferEngine(machine, pinned, device_id),
-      staging_pool_(staging_pool),
-      staging_bytes_(staging_bytes) {
+DmaTransferEngine::DmaTransferEngine(sim::Machine& machine, bool pinned, int device_id)
+    : TransferEngine(machine, pinned, device_id) {
   dir_workers_[kStreamD2H].stream = kStreamD2H;
   dir_workers_[kStreamH2D].stream = kStreamH2D;
-  // The PCIe-direction workers stage through pinned double buffers; carve the
-  // D2H pair first so a tight pool degrades deterministically (offload keeps
-  // staging, prefetch falls back to direct copies).
-  start_worker(dir_workers_[kStreamD2H], /*with_staging=*/true);
-  start_worker(dir_workers_[kStreamH2D], /*with_staging=*/true);
+  start_worker(dir_workers_[kStreamD2H]);
+  start_worker(dir_workers_[kStreamH2D]);
 }
 
 DmaTransferEngine::~DmaTransferEngine() {
@@ -201,28 +193,9 @@ DmaTransferEngine::~DmaTransferEngine() {
   for (auto& [peer, w] : p2p_workers_) stop_worker(*w);
 }
 
-void DmaTransferEngine::start_worker(Worker& w, bool with_staging) {
-  if (with_staging) {
-    for (int i = 0; i < 2; ++i) {
-      w.staging_handle[i] = staging_pool_.allocate(staging_bytes_);
-      if (w.staging_handle[i]) w.staging_buf[i] = staging_pool_.ptr(w.staging_handle[i]);
-    }
-    // Staging only works double-buffered; holding a single block would starve
-    // the pinned offload budget for zero benefit. Release and copy direct.
-    if (!w.staging_buf[0] || !w.staging_buf[1]) {
-      for (int i = 0; i < 2; ++i) {
-        if (w.staging_handle[i]) staging_pool_.deallocate(w.staging_handle[i]);
-        w.staging_handle[i] = 0;
-        w.staging_buf[i] = nullptr;
-      }
-    }
-    w.use_staging = w.staging_buf[0] != nullptr;
-  }
+void DmaTransferEngine::start_worker(Worker& w) {
   w.paused = paused_;
   w.thread = std::thread([this, &w] { worker_loop(w); });
-  if (w.use_staging) {
-    w.drainer = std::thread([this, &w] { drainer_loop(w); });
-  }
 }
 
 void DmaTransferEngine::stop_worker(Worker& w) {
@@ -232,17 +205,6 @@ void DmaTransferEngine::stop_worker(Worker& w) {
   }
   w.cv.notify_all();
   if (w.thread.joinable()) w.thread.join();
-  {
-    std::lock_guard<std::mutex> lock(w.smu);
-    w.staging_stop = true;
-  }
-  w.scv.notify_all();
-  if (w.drainer.joinable()) w.drainer.join();
-  for (int i = 0; i < 2; ++i) {
-    if (w.staging_handle[i]) staging_pool_.deallocate(w.staging_handle[i]);
-    w.staging_handle[i] = 0;
-    w.staging_buf[i] = nullptr;
-  }
 }
 
 DmaTransferEngine::Worker& DmaTransferEngine::worker_for(TransferDir dir, int peer) {
@@ -254,14 +216,10 @@ DmaTransferEngine::Worker& DmaTransferEngine::worker_for(TransferDir dir, int pe
   assert(peer >= 0 && "P2P dispatch needs a peer device");
   auto it = p2p_workers_.find(peer);
   if (it == p2p_workers_.end()) {
-    // One worker per directed link, created at first use. Pipeline
-    // parallelism streams whole boundary activations over these links, so
-    // each gets the same pinned double-buffer + drainer pipeline as the
-    // PCIe directions (ROADMAP "P2P staging"); a tight pool degrades the
-    // lazily-created links last, after the PCIe pairs.
+    // One worker per directed link, created at first use.
     auto w = std::make_unique<Worker>();
     w->stream = 2 + peer;
-    start_worker(*w, /*with_staging=*/true);
+    start_worker(*w);
     it = p2p_workers_.emplace(peer, std::move(w)).first;
   }
   return *it->second;
@@ -313,9 +271,6 @@ void DmaTransferEngine::mark_landed(Worker& w, uint64_t seq) {
 }
 
 void DmaTransferEngine::worker_loop(Worker& w) {
-#ifndef NDEBUG
-  w.worker_tid = std::this_thread::get_id();
-#endif
   for (;;) {
     Job job;
     {
@@ -346,81 +301,10 @@ void DmaTransferEngine::run_job(Worker& w, const Job& job) {
 #endif
   if (!job.src || !job.dst) return;  // unbacked buffers: accounting only
   w.dma_copies.fetch_add(1, std::memory_order_relaxed);
-  if (!w.use_staging) {
-    std::memcpy(job.dst, job.src, job.bytes);
-    return;
-  }
-  // Pipelined double-buffered staging: the worker stages chunk k+1 into one
-  // pinned buffer while the drainer flushes chunk k from the other — the
-  // CPU-stage/DMA-drain overlap real pinned hardware gets. Chunks of one job
-  // target disjoint destination ranges, so the drainer may flush full slots
-  // in either order; the job-boundary barrier below keeps jobs FIFO with
-  // respect to each other (job k+1 never stages before job k fully landed).
-  const auto* src = static_cast<const std::byte*>(job.src);
-  auto* dst = static_cast<std::byte*>(job.dst);
-  uint64_t off = 0;
-  int buf = 0;
-  int chunk_index = 0;
-  while (off < job.bytes) {
-    uint64_t chunk = std::min<uint64_t>(staging_bytes_, job.bytes - off);
-    double wbegin = obs::TraceRecorder::wall_now();
-    {
-      std::unique_lock<std::mutex> lock(w.smu);
-      w.scv.wait(lock, [&] { return !w.slot[buf].full; });
-      assert(!w.slot[buf].full && "stager may only fill an empty slot");
-    }
-    // Slot is empty: the drainer is done with this buffer, the stager owns it.
-    std::memcpy(w.staging_buf[buf], src + off, chunk);
-    {
-      std::lock_guard<std::mutex> lock(w.smu);
-      w.slot[buf] = Worker::Slot{dst + off, chunk, /*full=*/true};
-    }
-    w.scv.notify_all();
-    w.staged_chunks.fetch_add(1, std::memory_order_relaxed);
-    if (auto* rec = machine_.trace()) {
-      rec->record_wall_chunk(w.stream, job.seq, chunk_index, chunk, wbegin,
-                             obs::TraceRecorder::wall_now());
-    }
-    off += chunk;
-    buf ^= 1;
-    ++chunk_index;
-  }
-  // Job boundary: every staged chunk must reach its destination before the
-  // job counts as landed (and before the next job may stage).
-  std::unique_lock<std::mutex> lock(w.smu);
-  w.scv.wait(lock, [&] { return !w.slot[0].full && !w.slot[1].full; });
-}
-
-void DmaTransferEngine::drainer_loop(Worker& w) {
-  for (;;) {
-    int buf = -1;
-    std::byte* dst = nullptr;
-    uint64_t len = 0;
-    {
-      std::unique_lock<std::mutex> lock(w.smu);
-      w.scv.wait(lock, [&] { return w.staging_stop || w.slot[0].full || w.slot[1].full; });
-      if (w.slot[0].full) {
-        buf = 0;
-      } else if (w.slot[1].full) {
-        buf = 1;
-      } else {
-        return;  // staging_stop and both slots flushed
-      }
-      dst = w.slot[buf].dst;
-      len = w.slot[buf].len;
-    }
-#ifndef NDEBUG
-    assert(std::this_thread::get_id() != owner_ && std::this_thread::get_id() != w.worker_tid &&
-           "full slots may only be flushed by the stream's drainer");
-#endif
-    // Full slot: the stager has handed this buffer over, the drainer owns it.
-    std::memcpy(dst, w.staging_buf[buf], len);
-    {
-      std::lock_guard<std::mutex> lock(w.smu);
-      w.slot[buf].full = false;
-    }
-    w.scv.notify_all();
-  }
+  obs::TraceRecorder* rec = machine_.trace();
+  const double wbegin = rec ? obs::TraceRecorder::wall_now() : 0.0;
+  std::memcpy(job.dst, job.src, job.bytes);
+  if (rec) rec->record_wall_chunk(w.stream, job.seq, job.bytes, wbegin, obs::TraceRecorder::wall_now());
 }
 
 void DmaTransferEngine::pause_workers_for_testing(bool paused) {
@@ -445,23 +329,17 @@ void DmaTransferEngine::fill_dma_stats(TransferStats& s) const {
   s.dma_copies_p2p = 0;
   for (const auto& [peer, w] : p2p_workers_) s.dma_copies_p2p += load(w->dma_copies);
   s.dma_copies = s.dma_copies_d2h + s.dma_copies_h2d + s.dma_copies_p2p;
-  s.staged_chunks_p2p = 0;
-  for (const auto& [peer, w] : p2p_workers_) s.staged_chunks_p2p += load(w->staged_chunks);
-  s.staged_chunks = load(dir_workers_[kStreamD2H].staged_chunks) +
-                    load(dir_workers_[kStreamH2D].staged_chunks) + s.staged_chunks_p2p;
 }
 
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<TransferEngine> make_transfer_engine(sim::Machine& machine, mem::HostPool& host,
+std::unique_ptr<TransferEngine> make_transfer_engine(sim::Machine& machine, bool pinned,
                                                      bool real, bool async_transfers,
                                                      int device_id) {
   if (real && async_transfers) {
-    return std::make_unique<DmaTransferEngine>(machine, host.pinned(), host,
-                                               DmaTransferEngine::kDefaultStagingBytes,
-                                               device_id);
+    return std::make_unique<DmaTransferEngine>(machine, pinned, device_id);
   }
-  return std::make_unique<TransferEngine>(machine, host.pinned(), device_id);
+  return std::make_unique<TransferEngine>(machine, pinned, device_id);
 }
 
 }  // namespace sn::core

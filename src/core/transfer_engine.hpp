@@ -14,15 +14,13 @@
 //   * DmaTransferEngine       — a StreamSet of dedicated DMA workers: one
 //     thread per direction (H2D, D2H) plus one per directed P2P link, each
 //     draining its own two-level priority queue, so offload and prefetch
-//     traffic overlap each other as well as compute. Every worker (PCIe
-//     directions and P2P links alike) copies through a pinned
-//     double-buffered staging pair carved out of the mem::HostPool,
-//     pipelined: a drainer helper thread flushes chunk k to the destination
-//     while the worker stages chunk k+1. Completion
-//     *decisions* are still gated on the virtual event, which keeps the
-//     schedule deterministic and identical to the synchronous backend; the
-//     wall-clock memcpy merely has to have landed by the time the decision
-//     point is reached (ensure_landed()).
+//     traffic overlap each other as well as compute. A worker moves each job
+//     with one memcpy straight between the device buffer and its pinned
+//     host (or peer) buffer: the pool's pinned memory is the DMA target
+//     itself (paper §3.3). Completion *decisions* are still gated on the
+//     virtual event, which keeps the schedule deterministic and identical to
+//     the synchronous backend; the wall-clock memcpy merely has to have
+//     landed by the time the decision point is reached (ensure_landed()).
 //
 // Priorities are wall-clock-only by construction: a high-priority job may
 // overtake queued normal jobs on its own stream (urgent fetches bypass
@@ -51,10 +49,6 @@
 
 #include "sim/machine.hpp"
 
-namespace sn::mem {
-class HostPool;
-}
-
 namespace sn::core {
 
 enum class TransferDir { kD2H, kH2D, kP2P };
@@ -82,10 +76,6 @@ struct TransferStats {
   uint64_t dma_copies_d2h = 0;
   uint64_t dma_copies_h2d = 0;
   uint64_t dma_copies_p2p = 0;
-  /// Chunks pipelined through the pinned double-buffered staging pairs
-  /// (all streams; P2P link workers broken out below).
-  uint64_t staged_chunks = 0;
-  uint64_t staged_chunks_p2p = 0;
 };
 
 /// Base class doubles as the simulation / synchronous backend.
@@ -97,13 +87,13 @@ struct TransferStats {
 ///     must all come from it; assert_submit_owner() makes a violation loud
 ///     in debug builds.
 ///   * Execution-side state is owned per stream: each DMA worker thread is
-///     the only consumer of its own queue and the only stager of its pinned
-///     buffers, and its drainer helper is the only thread flushing staged
-///     chunks. The workers never touch pending_[] or another stream's state.
+///     the only consumer of its own queue and the only thread copying its
+///     jobs. The workers never touch pending_[] or another stream's state.
 class TransferEngine {
  public:
-  /// `pinned` is the host-staging property charged to the sim DMA streams;
-  /// `device_id` identifies the owning device in multi-device setups.
+  /// `pinned` is the host-memory property (pinned vs pageable) charged to the
+  /// sim DMA streams; `device_id` identifies the owning device in
+  /// multi-device setups.
   TransferEngine(sim::Machine& machine, bool pinned, int device_id = 0);
   virtual ~TransferEngine();
 
@@ -258,19 +248,13 @@ class TransferEngine {
 };
 
 /// Asynchronous backend: a StreamSet of DMA workers — one per direction plus
-/// one per P2P peer — each with a two-level priority queue. Every worker —
-/// the H2D/D2H PCIe directions and, since pipeline parallelism streams bulk
-/// activations over the links, the per-link P2P workers too — owns a pinned
-/// double-buffered staging pair carved from the host pool and pipelines it
-/// with a drainer helper thread (chunk k+1 stages while chunk k drains).
+/// one per P2P peer — each with a two-level priority queue, each copying a
+/// job with one memcpy on its own thread.
 class DmaTransferEngine final : public TransferEngine {
  public:
-  /// Each worker carves two blocks of `staging_bytes` from `staging_pool`
-  /// (PCIe pairs at construction, P2P pairs lazily at a link's first
-  /// submit); a worker whose pair does not fit (or when the pool is
-  /// unbacked) falls back to a single direct memcpy per job.
-  DmaTransferEngine(sim::Machine& machine, bool pinned, mem::HostPool& staging_pool,
-                    uint64_t staging_bytes = kDefaultStagingBytes, int device_id = 0);
+  /// Starts the two PCIe-direction workers; P2P link workers start lazily at
+  /// a link's first submit.
+  DmaTransferEngine(sim::Machine& machine, bool pinned, int device_id = 0);
   ~DmaTransferEngine() override;
 
   bool async_backend() const override { return true; }
@@ -278,8 +262,6 @@ class DmaTransferEngine final : public TransferEngine {
   /// Freeze / unfreeze every worker's queue pop. Unit tests use this to
   /// enqueue a deterministic mix of priorities before anything runs.
   void pause_workers_for_testing(bool paused);
-
-  static constexpr uint64_t kDefaultStagingBytes = 256 << 10;
 
  protected:
   Ticket dispatch(TransferDir dir, int peer, const void* src, void* dst, uint64_t bytes,
@@ -295,13 +277,11 @@ class DmaTransferEngine final : public TransferEngine {
     uint64_t seq = 0;
   };
 
-  /// One DMA stream: worker thread + queue + (optionally) the pinned staging
-  /// pipeline. Single-writer ownership: the compute thread pushes jobs and
-  /// advances next_seq; the worker thread is the only consumer and the only
-  /// stager; the drainer is the only flusher of full slots.
+  /// One DMA stream: worker thread + queue. Single-writer ownership: the
+  /// compute thread pushes jobs and advances next_seq; the worker thread is
+  /// the only consumer.
   struct Worker {
-    int stream = 0;             ///< ticket stream id (kStreamD2H/kStreamH2D/2+peer)
-    bool use_staging = false;
+    int stream = 0;  ///< ticket stream id (kStreamD2H/kStreamH2D/2+peer)
 
     // --- submit side (compute thread only) --------------------------------
     uint64_t next_seq = 0;
@@ -319,26 +299,9 @@ class DmaTransferEngine final : public TransferEngine {
     uint64_t landed_floor = 0;
     std::set<uint64_t> landed;
 
-    // --- staging pipeline (worker = stager, drainer = flusher) ------------
-    uint64_t staging_handle[2] = {0, 0};
-    void* staging_buf[2] = {nullptr, nullptr};
-    std::mutex smu;
-    std::condition_variable scv;
-    struct Slot {
-      std::byte* dst = nullptr;  ///< destination of the staged chunk
-      uint64_t len = 0;
-      bool full = false;
-    } slot[2];
-    bool staging_stop = false;
-
     std::atomic<uint64_t> dma_copies{0};
-    std::atomic<uint64_t> staged_chunks{0};
 
-    std::thread thread;   ///< pops jobs, stages chunks
-    std::thread drainer;  ///< flushes staged chunks to their destination
-#ifndef NDEBUG
-    std::atomic<std::thread::id> worker_tid{};
-#endif
+    std::thread thread;  ///< pops and copies jobs
   };
 
   static constexpr int kStreamD2H = 0;
@@ -346,15 +309,12 @@ class DmaTransferEngine final : public TransferEngine {
 
   Worker& worker_for(TransferDir dir, int peer);
   Worker* worker_by_stream(int stream);
-  void start_worker(Worker& w, bool with_staging);
+  void start_worker(Worker& w);
   void stop_worker(Worker& w);
   void worker_loop(Worker& w);
-  void drainer_loop(Worker& w);
   void run_job(Worker& w, const Job& job);
   void mark_landed(Worker& w, uint64_t seq);
 
-  mem::HostPool& staging_pool_;
-  uint64_t staging_bytes_;
   bool paused_ = false;  ///< compute-thread copy of the pause flag (new workers inherit it)
 
   Worker dir_workers_[2];  ///< [kStreamD2H, kStreamH2D]
@@ -366,7 +326,7 @@ class DmaTransferEngine final : public TransferEngine {
 /// Pick the backend for a runtime configuration: real numerics + async
 /// transfers get the DMA worker set; everything else uses the inline/sim
 /// backend.
-std::unique_ptr<TransferEngine> make_transfer_engine(sim::Machine& machine, mem::HostPool& host,
+std::unique_ptr<TransferEngine> make_transfer_engine(sim::Machine& machine, bool pinned,
                                                      bool real, bool async_transfers,
                                                      int device_id = 0);
 

@@ -75,10 +75,6 @@ struct ExecContext {
   int loss_batch = 0;
 
   bool real = true;
-
-  /// Forward-only evaluation: dropout becomes identity (standard inference
-  /// semantics); BN keeps batch statistics (running stats are not tracked).
-  bool inference = false;
 };
 
 class Layer {

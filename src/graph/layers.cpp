@@ -319,11 +319,6 @@ void DropoutLayer::create_tensors(tensor::TensorRegistry& reg) {
 
 void DropoutLayer::forward(ExecContext& ctx) {
   if (!ctx.real) return;
-  if (ctx.inference) {
-    // Inverted dropout is identity at inference time.
-    std::memcpy(ctx.buf(output()), ctx.buf(in_tensor()), output()->bytes());
-    return;
-  }
   uint64_t seed = mix_seed(ctx.seed, id_, ctx.iter);
   nn::dropout_forward(static_cast<uint64_t>(out_shape_.elems()), ratio_, seed,
                       ctx.buf(in_tensor()), ctx.buf(output()), ctx.buf(aux_[0]));

@@ -4,9 +4,8 @@
 // run at full PCIe speed (TensorFlow's pageable transfers lose >= 50%,
 // paper §2.2). We model the pool as capacity accounting plus, in backed mode,
 // per-allocation real buffers that hold offloaded tensor contents for the
-// real execution engine. The async TransferEngine additionally carves its
-// double-buffered staging area out of this pool, so staging bytes count
-// against the same pinned budget.
+// real execution engine. Both transfer backends copy straight between
+// device buffers and these host buffers; nothing else draws on the pool.
 #pragma once
 
 #include <cstdint>

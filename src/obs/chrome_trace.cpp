@@ -114,7 +114,7 @@ std::string export_chrome_trace(const TraceSession& session, const ChromeTraceOp
     if (opts.include_wall) {
       for (const auto& c : rec->wall_chunks()) {
         w.begin_object(util::JsonWriter::kInline);
-        w.key("name").value("chunk#" + std::to_string(c.chunk));
+        w.key("name").value("copy");
         w.key("cat").value("dma_chunk");
         w.key("ph").value("X");
         w.key("pid").value(dev);

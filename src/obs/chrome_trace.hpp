@@ -7,11 +7,11 @@
 // compute/d2h/h2d/collective/schedule/p2p->N.
 //
 // include_wall=false produces the deterministic export test_trace pins:
-// wall stamps are stripped from args and the wall-clock DMA staging-chunk
-// rows are omitted, so two identical runs serialize byte-identically.
-// include_wall=true adds a "wall_us" arg per span and one extra thread row
-// per DMA stream (tid 100+stream) holding the staging-chunk spans on the
-// wall clock.
+// wall stamps are stripped from args and the wall-clock DMA copy rows
+// (cat "dma_chunk") are omitted, so two identical runs serialize
+// byte-identically. include_wall=true adds a "wall_us" arg per span and one
+// extra thread row per DMA stream (tid 100+stream) holding one span per DMA
+// job's memcpy on the wall clock.
 #pragma once
 
 #include <string>

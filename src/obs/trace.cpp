@@ -193,14 +193,13 @@ void TraceRecorder::record_marker(const char* name, double vtime) {
   push(std::move(s));
 }
 
-void TraceRecorder::record_wall_chunk(int stream, uint64_t seq, int chunk, uint64_t bytes,
-                                      double wbegin, double wend) {
+void TraceRecorder::record_wall_chunk(int stream, uint64_t seq, uint64_t bytes, double wbegin,
+                                      double wend) {
   std::lock_guard<std::mutex> lk(wall_mu_);
   if (wall_ring_.size() >= capacity_) return;  // cap, never unbounded
   WallChunkSpan s;
   s.stream = stream;
   s.seq = seq;
-  s.chunk = chunk;
   s.bytes = bytes;
   s.wbegin = wbegin;
   s.wend = wend;
@@ -234,8 +233,7 @@ std::vector<WallChunkSpan> TraceRecorder::wall_chunks() const {
   std::vector<WallChunkSpan> out = wall_ring_;
   std::sort(out.begin(), out.end(), [](const WallChunkSpan& a, const WallChunkSpan& b) {
     if (a.stream != b.stream) return a.stream < b.stream;
-    if (a.seq != b.seq) return a.seq < b.seq;
-    return a.chunk < b.chunk;
+    return a.seq < b.seq;
   });
   return out;
 }

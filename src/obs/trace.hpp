@@ -31,7 +31,7 @@
 // flow_id_collective ties a gradient bucket's hop chain to its await.
 //
 // Thread-safety: schedule-side recording is single-threaded per machine (the
-// trainer thread), but DMA worker threads record wall-only staging-chunk
+// trainer thread), but DMA worker threads record wall-only per-job copy
 // spans concurrently, so both rings are mutex-guarded and the Machine holds
 // the recorder behind an atomic pointer (attach happens after engines spawn
 // their workers).
@@ -118,14 +118,13 @@ struct TraceSpan {
   uint64_t bytes = 0;
 };
 
-/// Wall-clock-only span for one staged chunk on a DMA worker thread. These
+/// Wall-clock-only span for one DMA job's memcpy on its worker thread. These
 /// live in a separate ring: worker interleaving is nondeterministic, so they
 /// are excluded from the deterministic (virtual-clock) export and sorted by
-/// (stream, seq, chunk) when exported at all.
+/// (stream, seq) when exported at all.
 struct WallChunkSpan {
   int stream = 0;
   uint64_t seq = 0;
-  int chunk = 0;
   uint64_t bytes = 0;
   double wbegin = 0.0;
   double wend = 0.0;
@@ -159,13 +158,12 @@ class TraceRecorder {
                           const std::string& phase, int microbatch);
   /// Zero-duration kScheduleOp marker ("drain-end") the analyzer anchors on.
   void record_marker(const char* name, double vtime);
-  /// DMA-worker-thread hook: wall clock only, separate ring.
-  void record_wall_chunk(int stream, uint64_t seq, int chunk, uint64_t bytes, double wbegin,
-                         double wend);
+  /// DMA-worker-thread hook, one call per job: wall clock only, separate ring.
+  void record_wall_chunk(int stream, uint64_t seq, uint64_t bytes, double wbegin, double wend);
 
   void clear();
   std::vector<TraceSpan> spans() const;            ///< ring in record order
-  std::vector<WallChunkSpan> wall_chunks() const;  ///< sorted (stream, seq, chunk)
+  std::vector<WallChunkSpan> wall_chunks() const;  ///< sorted (stream, seq)
   size_t dropped() const;                          ///< spans evicted by the ring cap
 
   /// Wall seconds since process-local epoch (steady clock).

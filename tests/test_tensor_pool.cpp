@@ -6,10 +6,12 @@
 //   2. NUMERICS INVARIANCE of the async engine — training with the DMA
 //      thread is bit-identical, loss and weights, to synchronous transfers,
 //      while the transfers demonstrably complete on the DMA thread.
-//   3. StepTelemetry exposes the host-pool and transfer-engine state.
+//   3. StepTelemetry exposes the host-pool and transfer-engine state, and
+//      the DMA engine itself never draws on the host pool.
 //   4. Bad frees are counted (release) / fatal (debug) in both pools.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "core/runtime.hpp"
 #include "graph/zoo.hpp"
 #include "mem/host_pool.hpp"
+#include "sim/cluster.hpp"
 #include "train/trainer.hpp"
 
 namespace {
@@ -83,6 +86,41 @@ TEST(TensorPool, RealAndSimModesProduceTheSameTransferSchedule) {
     total_d2h += real[i].bytes_d2h;
   }
   EXPECT_GT(total_d2h, 0u) << "parity test ran without exercising transfers";
+}
+
+TEST(TensorPool, DmaEngineDrawsNothingFromTheHostPool) {
+  // The DMA workers copy straight between device and host-pool buffers, so
+  // the host pool holds offloaded tensors only: a real+async run reports the
+  // same host-pool peak as the sim run of the same schedule.
+  auto host_peak = [](bool real) {
+    auto net = graph::build_mini_alexnet(4);
+    core::Runtime rt(*net, starved_opts(real));
+    EXPECT_EQ(rt.transfer_engine().async_backend(), real);
+    uint64_t peak = 0;
+    for (int i = 0; i < 3; ++i) {
+      peak = std::max(peak, rt.train_iteration(nullptr, nullptr).host_peak);
+    }
+    return peak;
+  };
+  const uint64_t sim_peak = host_peak(false);
+  EXPECT_GT(sim_peak, 0u) << "no offloads: equal peaks would show nothing";
+  EXPECT_EQ(host_peak(true), sim_peak);
+
+  // P2P link workers start lazily; starting one must not touch the pool
+  // either.
+  sim::Cluster cluster(sim::pcie_cluster_spec(2));
+  auto net = graph::build_mini_alexnet(4);
+  RuntimeOptions o = starved_opts(/*real=*/true);
+  o.cluster = &cluster;
+  core::Runtime rt(*net, o);
+  std::vector<float> src(4096, 1.5f), dst(4096, 0.0f);
+  core::TransferEngine& eng = rt.tensor_pool().engine();
+  eng.submit_p2p(1, src.data(), dst.data(), src.size() * sizeof(float), /*peer=*/1, 0.0);
+  eng.wait(core::TransferDir::kP2P, 1);
+  EXPECT_EQ(dst, src);
+  EXPECT_EQ(eng.stats().dma_copies_p2p, 1u);
+  EXPECT_EQ(rt.tensor_pool().host_pool().in_use(), 0u);
+  EXPECT_EQ(rt.tensor_pool().host_pool().peak_in_use(), 0u);
 }
 
 TEST(TensorPool, AsyncEngineIsBitIdenticalToSyncTransfers) {

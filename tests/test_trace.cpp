@@ -1,7 +1,7 @@
-// obs tracing tests (ISSUE 7): the recording hooks, the analyzer's
-// reconciliation contract against IterationStats / machine counters, flow
-// pairing, deterministic export, metrics pinning, the telemetry cap, and —
-// load-bearing under TSan — concurrent DMA-worker wall-chunk recording.
+// obs tracing tests: the recording hooks, the analyzer's reconciliation
+// contract against IterationStats / machine counters, flow pairing,
+// deterministic export, metrics pinning, and — load-bearing under TSan —
+// concurrent DMA-worker wall-span recording.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "core/transfer_engine.hpp"
 #include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
-#include "mem/host_pool.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -368,68 +367,46 @@ TEST(Metrics, PrometheusExpositionIsPinned) {
   EXPECT_EQ(m.to_prometheus(), text);
 }
 
-// --- telemetry cap (satellite) ----------------------------------------------
-
-TEST(Telemetry, RetainedStepTelemetryHonorsCapacity) {
-  auto net = graph::build_tiny_linear(8);
-  core::Runtime rt(*net, parity_options());
-  rt.set_retain_telemetry(true);
-  rt.set_telemetry_capacity(10);
-  rt.train_iteration(nullptr, nullptr);
-  rt.train_iteration(nullptr, nullptr);
-  EXPECT_LE(rt.step_telemetry().size(), 10u);
-  EXPECT_GT(rt.telemetry_dropped(), 0u);
-  // The cap keeps the NEWEST steps: the retained window is the tail.
-  const auto& tele = rt.step_telemetry();
-  for (size_t i = 1; i < tele.size(); ++i) {
-    EXPECT_GE(tele[i].step, tele[i - 1].step);
-  }
-
-  // Default (capacity 0) is unbounded — current behavior preserved.
-  auto net2 = graph::build_tiny_linear(8);
-  core::Runtime rt2(*net2, parity_options());
-  rt2.set_retain_telemetry(true);
-  rt2.train_iteration(nullptr, nullptr);
-  EXPECT_EQ(rt2.telemetry_dropped(), 0u);
-}
-
 // --- DMA-worker wall chunks (TSan target) ------------------------------------
 
 TEST(Trace, DmaWorkersRecordWallChunksConcurrently) {
-  // Tiny staging buffers force the pipelined chunk loop: both per-direction
-  // DMA workers record wall-chunk spans concurrently with schedule-thread
-  // machine spans — the data-race surface TSan pins down.
+  // Both per-direction DMA workers record one wall span per job
+  // concurrently with schedule-thread machine spans — the data-race surface
+  // TSan pins down.
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(64 << 20, /*pinned=*/true, /*backed=*/true);
-  core::DmaTransferEngine eng(m, true, hp, /*staging_bytes=*/4096);
+  core::DmaTransferEngine eng(m, true);
   obs::TraceSession session;
   obs::TraceRecorder& rec = session.recorder_for(0);
   rec.set_ids(0, -1, -1);
   m.set_trace(&rec);
 
+  constexpr int kJobsPerDir = 4;
   const size_t n = (1 << 18) / sizeof(float) + 13;
-  std::vector<float> d2h_src(n, 1.0f), d2h_dst(n, 0.0f);
-  std::vector<float> h2d_src(n, 2.0f), h2d_dst(n, 0.0f);
-  eng.submit(core::TransferDir::kD2H, 1, d2h_src.data(), d2h_dst.data(), n * sizeof(float));
-  eng.submit(core::TransferDir::kH2D, 2, h2d_src.data(), h2d_dst.data(), n * sizeof(float));
-  m.run_compute(0.01);  // schedule-side recording in parallel with the workers
-  eng.wait(core::TransferDir::kD2H, 1);
-  eng.wait(core::TransferDir::kH2D, 2);
-  m.set_trace(nullptr);
-  EXPECT_EQ(d2h_dst, d2h_src);
-  EXPECT_EQ(h2d_dst, h2d_src);
-
-  const auto chunks = rec.wall_chunks();
-  ASSERT_FALSE(chunks.empty());
-  for (const auto& c : chunks) {
-    EXPECT_GE(c.wend, c.wbegin);
-    EXPECT_GT(c.bytes, 0u);
+  std::vector<std::vector<float>> srcs, dsts;
+  for (int i = 0; i < 2 * kJobsPerDir; ++i) {
+    srcs.emplace_back(n, static_cast<float>(i + 1));
+    dsts.emplace_back(n, 0.0f);
   }
-  // Sorted (stream, seq, chunk) per the export contract.
-  for (size_t i = 1; i < chunks.size(); ++i) {
-    const auto &a = chunks[i - 1], &b = chunks[i];
-    EXPECT_TRUE(a.stream < b.stream || (a.stream == b.stream && a.seq < b.seq) ||
-                (a.stream == b.stream && a.seq == b.seq && a.chunk <= b.chunk));
+  for (int i = 0; i < kJobsPerDir; ++i) {
+    const auto tag = static_cast<uint64_t>(i);
+    eng.submit(core::TransferDir::kD2H, tag, srcs[i].data(), dsts[i].data(), n * sizeof(float));
+    eng.submit(core::TransferDir::kH2D, tag, srcs[kJobsPerDir + i].data(),
+               dsts[kJobsPerDir + i].data(), n * sizeof(float));
+    m.run_compute(0.001);  // schedule-side recording in parallel with the workers
+  }
+  eng.drain();
+  m.set_trace(nullptr);
+  for (int i = 0; i < 2 * kJobsPerDir; ++i) EXPECT_EQ(dsts[i], srcs[i]) << i;
+
+  // One span per job, sorted (stream, seq): D2H seqs 1..4, then H2D 1..4.
+  const auto chunks = rec.wall_chunks();
+  ASSERT_EQ(chunks.size(), static_cast<size_t>(2 * kJobsPerDir));
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const auto& c = chunks[i];
+    EXPECT_EQ(c.stream, static_cast<int>(i) / kJobsPerDir) << i;  // 0 = D2H, 1 = H2D
+    EXPECT_EQ(c.seq, i % kJobsPerDir + 1) << i;
+    EXPECT_EQ(c.bytes, n * sizeof(float)) << i;
+    EXPECT_GE(c.wend, c.wbegin) << i;
   }
   // The wall ring never leaks into the deterministic export.
   obs::ChromeTraceOptions opts;

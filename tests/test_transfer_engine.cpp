@@ -1,7 +1,7 @@
 // TransferEngine unit tests: tag-based submit/poll/wait semantics on both
-// backends, virtual-time gating, per-direction DMA workers and the pipelined
-// double-buffered staging pipeline, stream priorities, P2P stream isolation,
-// and backend selection.
+// backends, virtual-time gating, per-direction DMA workers, stream
+// priorities and landing bookkeeping, P2P stream isolation, and backend
+// selection.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/transfer_engine.hpp"
-#include "mem/host_pool.hpp"
 #include "sim/cluster.hpp"
 
 namespace {
@@ -109,8 +108,7 @@ TEST(TransferEngine, DrainRetiresEverythingBothDirections) {
 
 TEST(DmaTransferEngine, CopiesRunOnTheDmaWorker) {
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(m, true, hp);
+  DmaTransferEngine eng(m, true);
   auto src = pattern(4096, 10.0f);
   std::vector<float> dst(4096, 0.0f);
   eng.submit(TransferDir::kD2H, 11, src.data(), dst.data(), src.size() * sizeof(float));
@@ -125,8 +123,7 @@ TEST(DmaTransferEngine, CopiesRunOnTheDmaWorker) {
 
 TEST(DmaTransferEngine, ConcurrentDirectionsDrainOnSeparateWorkers) {
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(64 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(m, true, hp);
+  DmaTransferEngine eng(m, true);
   const size_t n = (1 << 20) / sizeof(float);
   auto out_src = pattern(n, 1.0f);
   auto in_src = pattern(n, 1000.0f);
@@ -150,9 +147,8 @@ TEST(DmaTransferEngine, ScheduleIsBitIdenticalToTheSynchronousEngine) {
   // the same bytes on the wall clock.
   sim::Machine m_sync(sim::k40c_spec());
   sim::Machine m_async(sim::k40c_spec());
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
   TransferEngine sync_eng(m_sync, true);
-  DmaTransferEngine async_eng(m_async, true, hp);
+  DmaTransferEngine async_eng(m_async, true);
 
   auto drive = [](TransferEngine& eng, sim::Machine& m, std::vector<double>& events) {
     for (uint64_t tag = 0; tag < 6; ++tag) {
@@ -181,8 +177,7 @@ TEST(DmaTransferEngine, ScheduleIsBitIdenticalToTheSynchronousEngine) {
 
 TEST(DmaTransferEngine, PollFromComputeThreadWhileBothWorkersDrain) {
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(64 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(m, true, hp);
+  DmaTransferEngine eng(m, true);
   constexpr int kPerDir = 8;
   const size_t n = 64 * 1024;
   std::vector<std::vector<float>> srcs, dsts;
@@ -215,8 +210,7 @@ TEST(DmaTransferEngine, PollFromComputeThreadWhileBothWorkersDrain) {
 
 TEST(DmaTransferEngine, P2PRunsOnPerLinkWorkersIsolatedFromPcieStreams) {
   sim::Cluster cluster(sim::pcie_cluster_spec(3));
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(cluster.machine(0), true, hp);
+  DmaTransferEngine eng(cluster.machine(0), true);
   const size_t n = 4096;
   auto d2h_src = pattern(n, 1.0f);
   auto p2p_src1 = pattern(n, 100.0f);
@@ -248,8 +242,7 @@ TEST(DmaTransferEngine, P2PRunsOnPerLinkWorkersIsolatedFromPcieStreams) {
 
 TEST(DmaTransferEngine, HighPriorityOvertakesQueuedNormalJobs) {
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(m, true, hp);
+  DmaTransferEngine eng(m, true);
   const size_t n = 1024;
   auto normal_src = pattern(n, 1.0f);
   auto urgent_src = pattern(n, 500.0f);
@@ -267,27 +260,22 @@ TEST(DmaTransferEngine, HighPriorityOvertakesQueuedNormalJobs) {
   EXPECT_EQ(dst, normal_src) << "normal-priority job should have run AFTER the high one";
 }
 
-TEST(DmaTransferEngine, LargeCopyPipelinesThroughStagingCorrectly) {
+TEST(DmaTransferEngine, RaggedLargeCopyLandsByteExact) {
+  // 1 MiB plus a ragged tail of 13 floats, copied by the H2D worker.
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(64 << 20, /*pinned=*/true, /*backed=*/true);
-  // Staging buffers far smaller than the transfer: exercises the pipelined
-  // double-buffered chunk loop (stager + drainer), incl. a ragged tail chunk.
-  DmaTransferEngine eng(m, true, hp, /*staging_bytes=*/4096);
+  DmaTransferEngine eng(m, true);
   const size_t n = (1 << 20) / sizeof(float) + 13;
   auto src = pattern(n, 0.5f);
   std::vector<float> dst(n, 0.0f);
   eng.submit(TransferDir::kH2D, 2, src.data(), dst.data(), n * sizeof(float));
   eng.wait(TransferDir::kH2D, 2);
   EXPECT_EQ(dst, src);
-  // The chunks demonstrably went through the pinned staging pipeline.
-  const uint64_t expect_chunks = (n * sizeof(float) + 4095) / 4096;
-  EXPECT_EQ(eng.stats().staged_chunks, expect_chunks);
+  EXPECT_EQ(eng.stats().dma_copies_h2d, 1u);
 }
 
 TEST(DmaTransferEngine, FifoOrderAcrossManyJobsOnOneStream) {
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(m, true, hp);
+  DmaTransferEngine eng(m, true);
   // Chain: job k copies buf[k] -> buf[k+1]. Same-priority jobs on one stream
   // run FIFO (and a job only starts once its predecessor fully drained), so
   // after waiting the last job the first pattern has propagated to the end.
@@ -304,94 +292,19 @@ TEST(DmaTransferEngine, FifoOrderAcrossManyJobsOnOneStream) {
   EXPECT_EQ(eng.stats().dma_copies, static_cast<uint64_t>(kJobs));
 }
 
-TEST(DmaTransferEngine, StagingPairsPerDirectionLiveInTheHostPool) {
-  sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  {
-    DmaTransferEngine eng(m, true, hp);
-    // One pinned double-buffer pair per PCIe-direction worker (D2H + H2D).
-    EXPECT_EQ(hp.in_use(), 4 * DmaTransferEngine::kDefaultStagingBytes);
-  }
-  // ...and returned when the engine shuts down.
-  EXPECT_EQ(hp.in_use(), 0u);
-  EXPECT_EQ(hp.stats().bad_frees, 0u);
-}
-
-TEST(DmaTransferEngine, PartialStagingAllocationFallsBackCleanly) {
-  sim::Machine m(sim::k40c_spec());
-  // Room for one staging block but not two: the engine must not hold a
-  // single useless block out of the pinned budget.
-  mem::HostPool hp(DmaTransferEngine::kDefaultStagingBytes + 1024, /*pinned=*/true,
-                   /*backed=*/true);
-  DmaTransferEngine eng(m, true, hp);
-  EXPECT_EQ(hp.in_use(), 0u);
-  auto src = pattern(512, 3.0f);
-  std::vector<float> dst(512, 0.0f);
-  eng.submit(TransferDir::kD2H, 1, src.data(), dst.data(), src.size() * sizeof(float));
-  eng.wait(TransferDir::kD2H, 1);
-  EXPECT_EQ(dst, src);  // direct memcpy path still moves the bytes
-  EXPECT_EQ(eng.stats().dma_copies, 1u);
-  EXPECT_EQ(eng.stats().staged_chunks, 0u);
-}
-
-TEST(DmaTransferEngine, TightPoolDegradesOneDirectionAtATime) {
-  sim::Machine m(sim::k40c_spec());
-  // Room for exactly one pair: the D2H (offload) worker keeps staging, the
-  // H2D worker falls back to direct copies — deterministically.
-  mem::HostPool hp(2 * DmaTransferEngine::kDefaultStagingBytes + 1024, /*pinned=*/true,
-                   /*backed=*/true);
-  DmaTransferEngine eng(m, true, hp);
-  EXPECT_EQ(hp.in_use(), 2 * DmaTransferEngine::kDefaultStagingBytes);
-  const size_t n = DmaTransferEngine::kDefaultStagingBytes / sizeof(float) * 3;
-  auto out_src = pattern(n, 1.0f);
-  auto in_src = pattern(n, 9.0f);
-  std::vector<float> out_dst(n, 0.0f), in_dst(n, 0.0f);
-  eng.submit(TransferDir::kD2H, 1, out_src.data(), out_dst.data(), n * sizeof(float));
-  eng.submit(TransferDir::kH2D, 2, in_src.data(), in_dst.data(), n * sizeof(float));
-  eng.drain();
-  EXPECT_EQ(out_dst, out_src);
-  EXPECT_EQ(in_dst, in_src);
-  EXPECT_GT(eng.stats().staged_chunks, 0u);  // the D2H copy staged
-}
-
-TEST(DmaTransferEngine, P2PLargeCopyPipelinesThroughLinkStaging) {
-  // The per-link workers run the same pinned double-buffer + drainer
-  // pipeline as the PCIe directions: a bulk activation stream chunks
-  // through the pair, ragged tail included.
+TEST(DmaTransferEngine, P2PRaggedLargeCopyLandsByteExact) {
+  // A bulk activation stream over a link worker, ragged tail included.
   sim::Cluster cluster(sim::pcie_cluster_spec(2));
-  mem::HostPool hp(64 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(cluster.machine(0), true, hp, /*staging_bytes=*/4096);
+  DmaTransferEngine eng(cluster.machine(0), true);
   const size_t n = (1 << 20) / sizeof(float) + 13;
   auto src = pattern(n, 2.5f);
   std::vector<float> dst(n, 0.0f);
   eng.submit_p2p(7, src.data(), dst.data(), n * sizeof(float), /*peer=*/1, /*not_before=*/0.0);
   eng.wait(TransferDir::kP2P, 7);
   EXPECT_EQ(dst, src);
-  const uint64_t expect_chunks = (n * sizeof(float) + 4095) / 4096;
   auto s = eng.stats();
-  EXPECT_EQ(s.staged_chunks_p2p, expect_chunks);
-  EXPECT_EQ(s.staged_chunks, expect_chunks);  // PCIe pairs idle: all chunks are P2P's
   EXPECT_EQ(s.dma_copies_p2p, 1u);
-}
-
-TEST(DmaTransferEngine, P2PStagingPairsCarveLazilyAndReturnToThePool) {
-  sim::Cluster cluster(sim::pcie_cluster_spec(3));
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  {
-    DmaTransferEngine eng(cluster.machine(0), true, hp);
-    // Only the PCIe pairs exist up front; each link worker carves its pair
-    // at the link's first submit.
-    EXPECT_EQ(hp.in_use(), 4 * DmaTransferEngine::kDefaultStagingBytes);
-    std::vector<float> src(256, 1.0f), dst(256, 0.0f);
-    eng.submit_p2p(1, src.data(), dst.data(), 256 * sizeof(float), /*peer=*/1, 0.0);
-    eng.wait(TransferDir::kP2P, 1);
-    EXPECT_EQ(hp.in_use(), 6 * DmaTransferEngine::kDefaultStagingBytes);
-    eng.submit_p2p(2, src.data(), dst.data(), 256 * sizeof(float), /*peer=*/2, 0.0);
-    eng.wait(TransferDir::kP2P, 2);
-    EXPECT_EQ(hp.in_use(), 8 * DmaTransferEngine::kDefaultStagingBytes);
-  }
-  EXPECT_EQ(hp.in_use(), 0u);
-  EXPECT_EQ(hp.stats().bad_frees, 0u);
+  EXPECT_EQ(s.dma_copies, 1u);  // PCIe workers idle
 }
 
 TEST(DmaTransferEngine, P2PHighPriorityLandsOutOfSubmitOrder) {
@@ -401,8 +314,7 @@ TEST(DmaTransferEngine, P2PHighPriorityLandsOutOfSubmitOrder) {
   // bookkeeping (landed_floor + out-of-order set) must absorb the
   // reordering and still retire both.
   sim::Cluster cluster(sim::pcie_cluster_spec(2));
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(cluster.machine(0), true, hp);
+  DmaTransferEngine eng(cluster.machine(0), true);
   const size_t n = 1024;
   auto normal_src = pattern(n, 1.0f);
   auto urgent_src = pattern(n, 500.0f);
@@ -418,13 +330,12 @@ TEST(DmaTransferEngine, P2PHighPriorityLandsOutOfSubmitOrder) {
   EXPECT_EQ(eng.stats().completed_p2p, 2u);
 }
 
-TEST(DmaTransferEngine, P2PStagingIsolatedAcrossLinks) {
-  // Concurrent bulk streams on distinct links each chunk through their own
-  // staging pair — bytes must not interleave across links, and the virtual
-  // events stay one unqueued link transfer each.
+TEST(DmaTransferEngine, P2PCopiesIsolatedAcrossLinks) {
+  // Concurrent bulk streams on distinct links each run on their own link
+  // worker — bytes must not interleave across links, and the virtual events
+  // stay one unqueued link transfer each.
   sim::Cluster cluster(sim::pcie_cluster_spec(3));
-  mem::HostPool hp(64 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(cluster.machine(0), true, hp, /*staging_bytes=*/8192);
+  DmaTransferEngine eng(cluster.machine(0), true);
   const size_t n = 64 * 1024;
   auto src1 = pattern(n, 10.0f);
   auto src2 = pattern(n, 90.0f);
@@ -436,8 +347,7 @@ TEST(DmaTransferEngine, P2PStagingIsolatedAcrossLinks) {
   eng.drain();
   EXPECT_EQ(dst1, src1);
   EXPECT_EQ(dst2, src2);
-  const uint64_t per_stream = (n * sizeof(float) + 8191) / 8192;
-  EXPECT_EQ(eng.stats().staged_chunks_p2p, 2 * per_stream);
+  EXPECT_EQ(eng.stats().dma_copies_p2p, 2u);
 }
 
 TEST(TransferEngine, AwaitLandingDeliversBytesWithoutRetiringOrStalling) {
@@ -445,8 +355,7 @@ TEST(TransferEngine, AwaitLandingDeliversBytesWithoutRetiringOrStalling) {
   // but the transfer stays pending (the virtual event still governs
   // scheduling) and the sender's compute stream is not stalled.
   sim::Cluster cluster(sim::pcie_cluster_spec(2));
-  mem::HostPool hp(32 << 20, /*pinned=*/true, /*backed=*/true);
-  DmaTransferEngine eng(cluster.machine(0), true, hp);
+  DmaTransferEngine eng(cluster.machine(0), true);
   const size_t n = 4096;
   auto src = pattern(n, 3.0f);
   std::vector<float> dst(n, 0.0f);
@@ -467,10 +376,12 @@ TEST(TransferEngine, AwaitLandingDeliversBytesWithoutRetiringOrStalling) {
 
 TEST(MakeTransferEngine, SelectsBackendFromMode) {
   sim::Machine m(sim::k40c_spec());
-  mem::HostPool hp(32 << 20, true, true);
-  EXPECT_FALSE(core::make_transfer_engine(m, hp, /*real=*/false, /*async=*/true)->async_backend());
-  EXPECT_FALSE(core::make_transfer_engine(m, hp, /*real=*/true, /*async=*/false)->async_backend());
-  EXPECT_TRUE(core::make_transfer_engine(m, hp, /*real=*/true, /*async=*/true)->async_backend());
+  auto make = [&](bool real, bool async) {
+    return core::make_transfer_engine(m, /*pinned=*/true, real, async);
+  };
+  EXPECT_FALSE(make(/*real=*/false, /*async=*/true)->async_backend());
+  EXPECT_FALSE(make(/*real=*/true, /*async=*/false)->async_backend());
+  EXPECT_TRUE(make(/*real=*/true, /*async=*/true)->async_backend());
 }
 
 }  // namespace
