@@ -22,17 +22,23 @@
 // obs::TraceRecorder and exports a Perfetto-loadable Chrome-trace JSON.
 // When both policies run, each overwrites FILE — pass --schedule to keep a
 // specific one. trace_report is the richer tool (attribution, hybrid grid).
+//
+// Bad arguments exit 2: a batch or --pipeline count that is not a whole
+// number >= 1, an unknown flag, network or schedule.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench/cli_args.hpp"
+#include "bench/common.hpp"
 #include "core/liveness.hpp"
 #include "core/recompute.hpp"
 #include "core/runtime.hpp"
 #include "dist/hybrid_parallel.hpp"
-#include "graph/zoo.hpp"
 #include "obs/chrome_trace.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -41,31 +47,9 @@ using namespace sn;
 
 namespace {
 
-std::unique_ptr<graph::Net> build(const std::string& name, int batch) {
-  if (name == "AlexNet") return graph::build_alexnet(batch);
-  if (name == "VGG16") return graph::build_vgg(16, batch);
-  if (name == "VGG19") return graph::build_vgg(19, batch);
-  if (name == "InceptionV4") return graph::build_inception_v4(batch);
-  if (name == "ResNet50") return graph::build_resnet_preset(50, batch);
-  if (name == "ResNet101") return graph::build_resnet_preset(101, batch);
-  if (name == "ResNet152") return graph::build_resnet_preset(152, batch);
-  std::fprintf(stderr, "unknown network %s\n", name.c_str());
-  std::exit(1);
-}
+using bench::mb;
 
-std::string mb(uint64_t b) { return util::format_double(b / 1048576.0, 1); }
-
-const char* phase_name(int ph) {
-  switch (ph) {
-    case 0: return "fill";
-    case 1: return "steady";
-    case 2: return "drain";
-    default: return "-";
-  }
-}
-
-// One policy's pipeline run: per-stage phase-split bubble plus a stamped
-// step-trace sample showing the engine's phase/microbatch annotations.
+// One policy's pipeline run: per-stage busy time and phase-split bubble.
 void pipeline_phase_report(const std::string& name, int batch, int stages, int microbatches,
                            dist::SchedulePolicy policy, const std::string& trace_path) {
   dist::HybridParallelConfig cfg;
@@ -76,11 +60,10 @@ void pipeline_phase_report(const std::string& name, int batch, int stages, int m
   cfg.schedule = policy;
   cfg.cluster = sim::nvlink_cluster_spec(stages);
   cfg.train.iterations = 2;
-  auto factory = [&](int b) { return build(name, b); };
+  auto factory = [&](int b) { return bench::build_network(name, b); };
   core::RuntimeOptions opts = core::make_policy(core::PolicyPreset::kSuperNeurons, cfg.cluster.device);
   opts.real = false;
   dist::HybridParallelTrainer pipe(factory, opts, cfg);
-  for (int s = 0; s < stages; ++s) pipe.runtime(s, 0).set_retain_telemetry(true);
   obs::TraceSession session;
   if (!trace_path.empty()) pipe.attach_trace(&session);
   auto rep = pipe.run();
@@ -115,16 +98,7 @@ void pipeline_phase_report(const std::string& name, int batch, int stages, int m
                mb(pipe.stash_bytes(s))});
   }
   t.print();
-
-  // The stamps themselves: the last stage's retained step telemetry carries
-  // the engine's (phase, microbatch) annotation on every step.
-  const auto& tele = pipe.runtime(stages - 1, 0).step_telemetry();
-  std::printf("stage %d stamped steps (first 8 of %zu): ", stages - 1, tele.size());
-  for (size_t i = 0; i < tele.size() && i < 8; ++i) {
-    std::printf("%s%s:m%d:%s", i ? " " : "", tele[i].forward ? "F" : "B",
-                tele[i].microbatch, phase_name(tele[i].sched_phase));
-  }
-  std::printf("\n\n");
+  std::printf("\n");
 }
 
 }  // namespace
@@ -136,24 +110,47 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::vector<std::string> pos;
   for (int i = 1; i < argc; ++i) {
+    auto need = [&](int n) {
+      if (i + n >= argc) {
+        std::fprintf(stderr, "%s needs %d value(s)\n", argv[i], n);
+        std::exit(2);
+      }
+    };
     if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
-    } else if (std::strcmp(argv[i], "--pipeline") == 0 && i + 2 < argc) {
-      pipe_stages = std::atoi(argv[i + 1]);
-      pipe_microbatches = std::atoi(argv[i + 2]);
+    } else if (std::strcmp(argv[i], "--pipeline") == 0) {
+      need(2);
+      pipe_stages = static_cast<int>(bench::parse_count("--pipeline", argv[i + 1], 1, INT_MAX));
+      pipe_microbatches =
+          static_cast<int>(bench::parse_count("--pipeline", argv[i + 2], 1, INT_MAX));
       i += 2;
-    } else if (std::strcmp(argv[i], "--schedule") == 0 && i + 1 < argc) {
-      sched_arg = argv[i + 1];
-      ++i;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[i + 1];
-      ++i;
-    } else {
+    } else if (std::strcmp(argv[i], "--schedule") == 0) {
+      need(1);
+      sched_arg = argv[++i];
+      if (sched_arg != "gpipe" && sched_arg != "1f1b") {
+        std::fprintf(stderr, "--schedule wants gpipe or 1f1b, got \"%s\"\n", sched_arg.c_str());
+        return 2;
+      }
+    } else if (std::strcmp(argv[i], "--trace") == 0) {
+      need(1);
+      trace_path = argv[++i];
+    } else if (argv[i][0] != '-' && pos.size() < 2) {
       pos.push_back(argv[i]);
+    } else {
+      std::fprintf(stderr, "unknown arg %s\n", argv[i]);
+      return 2;
     }
   }
   std::string name = !pos.empty() ? pos[0] : "AlexNet";
-  int batch = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 64;
+  int batch =
+      pos.size() > 1 ? static_cast<int>(bench::parse_count("batch", pos[1].c_str(), 1, INT_MAX))
+                     : 64;
+  try {
+    bench::build_network(name, 1);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   if (pipe_stages > 0) {
     std::printf("=== %s (batch %d): %d-stage pipeline, %d microbatches ===\n", name.c_str(),
@@ -175,7 +172,7 @@ int main(int argc, char** argv) {
 
   if (csv) {
     // Per-step transfer/compute overlap series (steady state: iteration 2).
-    auto net = build(name, batch);
+    auto net = bench::build_network(name, batch);
     core::Runtime rt(*net, core::make_policy(core::PolicyPreset::kSuperNeurons));
     try {
       rt.train_iteration(nullptr, nullptr);  // warm-up: offload steady state
@@ -205,7 +202,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto net = build(name, batch);
+  auto net = bench::build_network(name, batch);
 
   std::printf("=== %s (batch %d) ===\n", name.c_str(), batch);
   std::printf("layers: %zu   tensors: %zu   baseline demand: %s MB   max layer: %s MB\n\n",
@@ -249,7 +246,7 @@ int main(int argc, char** argv) {
   for (auto preset : {core::PolicyPreset::kCaffeLike, core::PolicyPreset::kTorchLike,
                       core::PolicyPreset::kMxnetLike, core::PolicyPreset::kTfLike,
                       core::PolicyPreset::kSuperNeurons}) {
-    auto fresh = build(name, batch);
+    auto fresh = bench::build_network(name, batch);
     core::RuntimeOptions o = core::make_policy(preset);
     try {
       core::Runtime rt(*fresh, o);
@@ -267,7 +264,7 @@ int main(int argc, char** argv) {
   t.print();
 
   // Per-step trace of the SuperNeurons schedule (first/last few steps).
-  auto fresh = build(name, batch);
+  auto fresh = bench::build_network(name, batch);
   core::Runtime rt(*fresh, core::make_policy(core::PolicyPreset::kSuperNeurons));
   try {
     rt.train_iteration(nullptr, nullptr);

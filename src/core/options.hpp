@@ -29,7 +29,7 @@ enum class RecomputeMode {
 const char* recompute_mode_name(RecomputeMode m);
 
 /// Sentinel for RuntimeOptions::prefetch_lookahead: "the user did not set
-/// it" — the runtime substitutes the per-net table default.
+/// it" — the MemoryPlan substitutes the per-net table default.
 inline constexpr int kPrefetchLookaheadAuto = -1;
 
 struct RuntimeOptions {
@@ -44,10 +44,12 @@ struct RuntimeOptions {
   bool pinned_host = true;       ///< pinned staging (TF-like policies lose 50%)
   bool async_transfers = true;   ///< overlap DMA with compute
   /// Checkpoint spans staged ahead of backward (§3.3.1; the paper prefetches
-  /// exactly 1; 0 disables prefetching entirely). Left at
-  /// kPrefetchLookaheadAuto, the runtime picks the per-net default
-  /// core::default_prefetch_lookahead() pins from bench_prefetch_lookahead
-  /// (VGG16/19 -> 1, InceptionV4 / ResNet50/101 -> 2).
+  /// exactly 1; 0 disables prefetching, and negatives other than
+  /// kPrefetchLookaheadAuto clamp to 0). Left at
+  /// kPrefetchLookaheadAuto, the MemoryPlan resolves it once to the per-net
+  /// default core::default_prefetch_lookahead() (core/memory_plan.hpp) pins
+  /// from bench_prefetch_lookahead (VGG16/19 -> 1, InceptionV4 /
+  /// ResNet50/101 -> 2).
   int prefetch_lookahead = kPrefetchLookaheadAuto;
 
   // --- speed techniques ----------------------------------------------------

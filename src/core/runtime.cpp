@@ -11,23 +11,6 @@
 
 namespace sn::core {
 
-namespace {
-
-bool is_offloadable_producer(const graph::Layer* l) {
-  // UTP offloads checkpoint-layer outputs; the paper restricts offloading to
-  // CONV layers (§3.3.1) since FC/Dropout/Softmax hold <1% of memory. DATA
-  // behaves like a CONV output for this purpose (large, forward-produced,
-  // backward-consumed).
-  return l->type() == graph::LayerType::kConv || l->type() == graph::LayerType::kData;
-}
-
-int resolve_lookahead(const RuntimeOptions& opts, const graph::Net& net) {
-  return opts.prefetch_lookahead == kPrefetchLookaheadAuto ? default_prefetch_lookahead(net)
-                                                           : opts.prefetch_lookahead;
-}
-
-}  // namespace
-
 Runtime::Runtime(graph::Net& net, RuntimeOptions opts)
     : net_(net),
       opts_(opts),
@@ -36,10 +19,8 @@ Runtime::Runtime(graph::Net& net, RuntimeOptions opts)
       cost_(opts.spec),
       liveness_(net, opts.recompute != RecomputeMode::kNone),
       plan_(net, opts.recompute),
-      prefetcher_(net, resolve_lookahead(opts, net)) {
+      memory_plan_(net, liveness_, plan_, opts) {
   if (!net.finalized()) throw std::logic_error("Runtime: net must be finalized");
-  prefetcher_.set_remote_gate(
-      [this](uint64_t uid) { return external_pending_.count(uid) != 0; });
 
   UnifiedTensorPool::Config pool_cfg;
   pool_cfg.real = opts_.real;
@@ -53,39 +34,15 @@ Runtime::Runtime(graph::Net& net, RuntimeOptions opts)
   UnifiedTensorPool::Hooks hooks;
   hooks.droppable = [this](const tensor::Tensor* t) { return plan_.droppable(t); };
   hooks.persistent = [this](uint64_t uid) { return liveness_.is_persistent(uid); };
-  hooks.last_forward_use = [this](uint64_t uid) { return last_forward_use_[uid]; };
+  hooks.last_forward_use = [this](uint64_t uid) { return memory_plan_.last_forward_use(uid); };
   pool_ = std::make_unique<UnifiedTensorPool>(net.registry(), machine_, pool_cfg,
                                               std::move(hooks));
 
-  const size_t ntensors = net.registry().size();
-  producer_.assign(ntensors, nullptr);
-  last_forward_use_.assign(ntensors, -1);
-  is_offload_target_.assign(ntensors, false);
-
-  const int nfwd = static_cast<int>(net.route().size());
+  producer_.assign(net.registry().size(), nullptr);
   for (const auto& l : net.layers()) {
     for (tensor::Tensor* t : l->forward_defs()) producer_[t->uid()] = l.get();
     for (tensor::Tensor* t : l->param_grads()) producer_[t->uid()] = l.get();
     if (tensor::Tensor* g = l->output_grad()) producer_[g->uid()] = l.get();
-    if (is_offloadable_producer(l.get())) is_offload_target_[l->output()->uid()] = true;
-  }
-  for (const auto& step : net.steps()) {
-    if (step.index >= nfwd) break;
-    for (auto* t : step.layer->forward_uses()) last_forward_use_[t->uid()] = step.index;
-    for (auto* t : step.layer->forward_defs()) {
-      if (last_forward_use_[t->uid()] < step.index) last_forward_use_[t->uid()] = step.index;
-    }
-  }
-
-  // Precompute the per-forward-step drop lists for recomputation: droppable
-  // tensors whose forward consumers are done but that backward still needs.
-  drop_after_fwd_.resize(nfwd);
-  for (const auto& t : net.registry().all()) {
-    uint64_t uid = t->uid();
-    int lf = last_forward_use_[uid];
-    if (lf < 0 || lf >= nfwd) continue;
-    if (!plan_.droppable(t.get())) continue;
-    if (liveness_.last_occurrence(uid) > lf) drop_after_fwd_[lf].push_back(uid);
   }
 }
 
@@ -366,92 +323,58 @@ void Runtime::exec_step(const graph::Step& step, const float* input, const int32
   lock(defs, false);
 }
 
-void Runtime::issue_prefetches(int step) {
-  // Paper §3.3.1: at a CONV layer's backward step, asynchronously fetch what
-  // the next `lookahead` checkpoint spans' backward steps need, staging every
-  // host-resident dependency that fits without eviction. Under memory
-  // pressure the nearest span's stages go out high-priority, so they bypass
-  // any deeper speculative backlog on the H2D stream's wall clock (the
-  // virtual-time schedule is unaffected by priorities).
-  // Windowed pressure (not the latching under_pressure()): escalation should
-  // stop once allocation traffic has moved past the contended stretch.
+void Runtime::post_step(const graph::Step& step) {
+  // Memory-centric re-drop: tensors regenerated for THIS backward step are
+  // dropped again when the plan says a later step reads them (Fig. 9b).
+  for (uint64_t uid : regenerated_) {
+    tensor::Tensor* t = tensor_by_uid(uid);
+    if (memory_plan_.redrop(uid, step.index) && t->on_device() && !t->locked()) {
+      pool_->drop_tensor(t);
+    }
+  }
+
+  for (const MemoryPlan::Release& r : memory_plan_.releases(step.index)) {
+    tensor::Tensor* t = r.tensor;
+    switch (r.kind) {
+      case MemoryPlan::Action::kFree:
+        if (t->locked()) break;
+        pool_->free_peer(t);  // before free_device: discards any in-flight fetch-back
+        pool_->free_device(t);
+        pool_->free_host(t);
+        t->residency = tensor::Residency::kNone;
+        break;
+      case MemoryPlan::Action::kDrop:
+        if (t->on_device() && !t->locked()) pool_->drop_tensor(t);
+        break;
+      case MemoryPlan::Action::kOffload:
+        if (t->on_device() && !pool_->offload_pending(t->uid())) {
+          pool_->offload_to_host(t, /*async=*/true);
+        }
+        break;
+    }
+  }
+  pool_->poll_offloads(step.index);
+
+  // Stage every host- or peer-resident dependency that fits without
+  // eviction; the first that does not fit ends staging for this step. Under
+  // windowed pressure the nearest span goes out high-priority, bypassing
+  // deeper speculative stages on the H2D stream's wall clock (virtual time
+  // is unaffected by priorities).
   const bool pressured = pool_->under_pressure_now();
-  for (const Prefetcher::Entry& e : prefetcher_.plan_spans(step)) {
-    tensor::Tensor* u = e.tensor;
-    const TransferPriority prio = (pressured && e.span == 0) ? TransferPriority::kHigh
+  for (const MemoryPlan::Prefetch& p : memory_plan_.prefetches(step.index)) {
+    tensor::Tensor* u = p.tensor;
+    if (external_pending_.count(u->uid())) continue;  // bytes still on a peer
+    const TransferPriority prio = (pressured && p.span == 0) ? TransferPriority::kHigh
                                                              : TransferPriority::kNormal;
     if (u->residency == tensor::Residency::kPeer) {
       // Peer-staged dependency: stage it back over the P2P link, off the
       // host uplink entirely.
       if (pool_->peer_fetch_pending(u->uid())) continue;
-      if (!pool_->prefetch_from_peer(u, prio)) return;  // no room: stop staging
+      if (!pool_->prefetch_from_peer(u, prio)) break;
       continue;
     }
-    if (u->residency != tensor::Residency::kHost) continue;
-    if (pool_->prefetch_pending(u->uid())) continue;
-    if (!pool_->prefetch(u, prio)) return;  // no room: stop staging
-  }
-}
-
-void Runtime::post_step(const graph::Step& step) {
-  graph::Layer* layer = step.layer;
-  const bool fwd = step.forward;
-  const int nfwd = static_cast<int>(net_.route().size());
-
-  // Memory-centric re-drop: tensors regenerated for THIS backward step are
-  // dropped again unless their segment runs speed-centric (Fig. 9b).
-  if (!fwd) {
-    for (uint64_t uid : regenerated_) {
-      tensor::Tensor* t = tensor_by_uid(uid);
-      graph::Layer* prod = producer_of(t);
-      int seg = prod ? plan_.segment_of(prod) : -1;
-      if (seg >= 0 && !plan_.segments()[seg].speed_centric && plan_.droppable(t) &&
-          liveness_.last_occurrence(uid) > step.index && t->on_device() && !t->locked()) {
-        pool_->drop_tensor(t);
-      }
-    }
-  }
-
-  // Liveness Analysis: free tensors whose last use is this step (§3.2).
-  if (opts_.use_liveness) {
-    for (uint64_t uid : liveness_.free_after(step.index)) {
-      tensor::Tensor* t = tensor_by_uid(uid);
-      if (t->locked()) continue;
-      pool_->free_peer(t);  // before free_device: discards any in-flight fetch-back
-      pool_->free_device(t);
-      pool_->free_host(t);
-      t->residency = tensor::Residency::kNone;
-    }
-  }
-
-  // Recomputation: during the forward pass, drop cheap tensors once their
-  // forward consumers finished; backward will reconstruct them (§3.4).
-  if (fwd && plan_.mode() != RecomputeMode::kNone &&
-      step.index < static_cast<int>(drop_after_fwd_.size())) {
-    for (uint64_t uid : drop_after_fwd_[step.index]) {
-      tensor::Tensor* t = tensor_by_uid(uid);
-      if (t->on_device() && !t->locked()) pool_->drop_tensor(t);
-    }
-  }
-
-  // UTP eager offload: without the Tensor Cache, CONV outputs stream out as
-  // soon as they are produced (§3.3.1). The cache replaces this with lazy,
-  // pressure-driven eviction (§3.3.2).
-  if (fwd && opts_.offload && !opts_.tensor_cache &&
-      is_offload_target_[layer->output()->uid()] &&
-      liveness_.last_occurrence(layer->output()->uid()) >= nfwd) {
-    tensor::Tensor* t = layer->output();
-    if (t->on_device() && !pool_->offload_pending(t->uid())) {
-      pool_->offload_to_host(t, /*async=*/true);
-    }
-  }
-  pool_->poll_offloads(step.index);
-
-  // UTP prefetch: stage the next checkpoint span's dependencies under the
-  // current backward compute (§3.3.1).
-  if (!fwd && opts_.offload && opts_.async_transfers &&
-      RecomputePlan::is_checkpoint_layer(layer)) {
-    issue_prefetches(step.index);
+    if (u->residency != tensor::Residency::kHost || pool_->prefetch_pending(u->uid())) continue;
+    if (!pool_->prefetch(u, prio)) break;
   }
 
   note_peak();
@@ -511,10 +434,7 @@ void Runtime::initialize() {
 
 void Runtime::begin_iteration() {
   if (!initialized_) initialize();
-  // With retention on, microbatch passes within one global batch append to
-  // the same telemetry series; a new iteration (advance_iteration) resets it.
-  if (!retain_telemetry_ || fresh_iteration_) telemetry_.clear();
-  fresh_iteration_ = false;
+  telemetry_.clear();
   zeroed_grads_.clear();
   iter_peak_ = pool_->allocator().in_use();
   extra_forwards_ = 0;
@@ -661,12 +581,6 @@ std::vector<float> Runtime::read_tensor(const tensor::Tensor* t) {
   std::vector<float> out(static_cast<size_t>(t->shape().elems()), 0.0f);
   if (const float* p = device_ptr(t)) std::memcpy(out.data(), p, t->bytes());
   return out;
-}
-
-void Runtime::write_tensor(const tensor::Tensor* t, const std::vector<float>& data) {
-  if (float* p = device_ptr(t)) {
-    std::memcpy(p, data.data(), std::min<uint64_t>(t->bytes(), data.size() * sizeof(float)));
-  }
 }
 
 }  // namespace sn::core

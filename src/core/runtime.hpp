@@ -13,13 +13,16 @@
 //   * Dynamic Workspaces    — fastest memory-feasible conv algorithm per
 //                             step (§3.5)
 //
-// The Runtime is the *orchestrator*: it walks the route, decides when to
-// materialize / drop / offload / prefetch, and delegates the mechanisms to
-// three layered subsystems —
+// The Runtime is the *orchestrator*: it walks the route, materializes each
+// step's tensors (cache hit, prefetch wait, on-demand fetch or recompute
+// replay) and, after the step, replays that step's frees, drops, offloads
+// and prefetches from the MemoryPlan built at construction. Mechanisms live
+// in layered subsystems —
+//   MemoryPlan         (core/memory_plan.hpp)     per-step memory actions,
+//                      fixed by the route and the options before training
 //   UnifiedTensorPool  (core/tensor_pool.hpp)     the memory-state machine
 //   TransferEngine     (core/transfer_engine.hpp) submit/poll/wait DMA, with
 //                      a sim virtual-time backend and a real DMA-thread one
-//   Prefetcher         (core/prefetcher.hpp)      backward lookahead policy
 //
 // The same scheduler runs in two modes: `real` (backed memory, kernels
 // execute, numerics verifiable) and simulation (accounting + virtual time
@@ -33,8 +36,8 @@
 #include <vector>
 
 #include "core/liveness.hpp"
+#include "core/memory_plan.hpp"
 #include "core/options.hpp"
-#include "core/prefetcher.hpp"
 #include "core/recompute.hpp"
 #include "core/telemetry.hpp"
 #include "core/tensor_pool.hpp"
@@ -84,10 +87,7 @@ class Runtime {
   IterationStats backward_pass(const int32_t* labels = nullptr);
 
   /// Bump the iteration counter (iteration-seeded state: dropout masks).
-  void advance_iteration() {
-    ++iter_;
-    fresh_iteration_ = true;
-  }
+  void advance_iteration() { ++iter_; }
 
   /// Stamp subsequent steps' telemetry with the column-schedule position
   /// (dist::SchedulePhase as int, plus the microbatch index); (-1, -1)
@@ -97,12 +97,6 @@ class Runtime {
     sched_microbatch_ = microbatch;
   }
 
-  /// Keep step telemetry across the microbatch passes of one iteration
-  /// (cleared at the first pass after advance_iteration() instead of at
-  /// every forward_pass), so a whole pipeline iteration's phase-stamped
-  /// step series is readable afterwards. Off by default.
-  void set_retain_telemetry(bool retain) { retain_telemetry_ = retain; }
-
   // --- externally produced tensors (pipeline stage boundaries) --------------
 
   /// Pin a tensor no in-stage layer defines (a P2P landing site: the
@@ -111,11 +105,11 @@ class Runtime {
   /// liveness/eviction never reclaim it mid-stream.
   void pin_external(tensor::Tensor* t);
 
-  /// Mark `t` remotely produced and not yet landed: the prefetcher skips it
+  /// Mark `t` remotely produced and not yet landed: prefetch replay skips it
   /// (a host fetch would stage stale bytes of the previous microbatch).
   void mark_external_pending(const tensor::Tensor* t);
 
-  /// The P2P landing for `t` has been waited out; plans may include it again.
+  /// The P2P landing for `t` has been waited out; prefetches may stage it again.
   void mark_external_landed(const tensor::Tensor* t);
 
   /// Vanilla SGD over all parameters (momentum kept host-side).
@@ -129,14 +123,12 @@ class Runtime {
   UnifiedTensorPool& tensor_pool() { return *pool_; }
   const UnifiedTensorPool& tensor_pool() const { return *pool_; }
   const TransferEngine& transfer_engine() const { return pool_->engine(); }
-  const Prefetcher& prefetcher() const { return prefetcher_; }
+  const MemoryPlan& memory_plan() const { return memory_plan_; }
   const RuntimeOptions& options() const { return opts_; }
   graph::Net& net() { return net_; }
 
   /// Copy a parameter's device contents out (real mode; for tests/examples).
   std::vector<float> read_tensor(const tensor::Tensor* t);
-  /// Overwrite a parameter's device contents (real mode).
-  void write_tensor(const tensor::Tensor* t, const std::vector<float>& data);
 
   uint64_t current_iteration() const { return iter_; }
 
@@ -160,7 +152,6 @@ class Runtime {
   void run_layer_pass(graph::Layer* layer, bool forward, const float* input,
                       const int32_t* labels, double* loss_out, StepTelemetry* tele);
   void charge_layer_time(const graph::Layer* layer, bool forward, nn::ConvAlgo algo);
-  void issue_prefetches(int step);
 
   void lock(const std::vector<tensor::Tensor*>& ts, bool locked);
   void note_peak();
@@ -193,19 +184,14 @@ class Runtime {
   sim::CostModel cost_;
   Liveness liveness_;
   RecomputePlan plan_;
+  MemoryPlan memory_plan_;
   /// Owns the device allocator, host pool, tensor cache and transfer engine;
   /// constructed in the ctor body once liveness/plan exist for its hooks.
   std::unique_ptr<UnifiedTensorPool> pool_;
-  Prefetcher prefetcher_;
 
   std::vector<graph::Layer*> producer_;        ///< tensor uid -> defining layer
-  std::vector<int> last_forward_use_;          ///< uid -> last forward step using it
-  std::vector<bool> is_offload_target_;        ///< uid -> CONV/DATA output
-  /// Per forward step: droppable tensors whose forward consumers finish
-  /// there but that are still needed by the backward pass.
-  std::vector<std::vector<uint64_t>> drop_after_fwd_;
 
-  /// Remotely produced uids awaiting their P2P landing (prefetcher gate).
+  /// Remotely produced uids awaiting their P2P landing (prefetch gate).
   std::unordered_set<uint64_t> external_pending_;
 
   // per-iteration state
@@ -219,8 +205,6 @@ class Runtime {
   bool initialized_ = false;
   int sched_phase_ = -1;       ///< schedule-phase stamp for step telemetry
   int sched_microbatch_ = -1;  ///< microbatch stamp for step telemetry
-  bool retain_telemetry_ = false;
-  bool fresh_iteration_ = true;  ///< next begin_iteration starts a new global batch
   /// True while a recompute replay is on the stack: nested materializations
   /// then use targeted chain replays instead of whole-segment eagerness
   /// (prevents replay/eviction livelock under extreme pressure).

@@ -214,18 +214,11 @@ class UnifiedTensorPool {
   uint64_t peer_fetch_count() const { return peer_fetch_count_; }
   uint64_t peer_spill_count() const { return peer_spill_count_; }
 
-  /// True once this iteration has had to evict: device memory is contended,
-  /// so the orchestrator escalates the nearest prefetches to high priority
-  /// ("prefetch > offload" on the DMA streams' wall clock).
-  /// NOTE: latches for the rest of the iteration — one early eviction keeps
-  /// escalating long after the contention has passed. Kept for existing
-  /// callers/tests; new policy goes through under_pressure_now().
-  bool under_pressure() const { return evictions_ > 0; }
-
   /// Windowed pressure signal: an eviction happened within the last
-  /// kPressureWindowAllocs device allocations. Unlike under_pressure() this
-  /// decays as allocation traffic moves on, so prefetch-priority escalation
-  /// stops once contention passes, and the peer-staging router can tell a
+  /// kPressureWindowAllocs device allocations. It decays as allocation
+  /// traffic moves on, so the orchestrator's prefetch-priority escalation
+  /// ("prefetch > offload" on the DMA streams' wall clock) stops once
+  /// contention passes, and the peer-staging router can tell a
   /// currently-squeezed pool from one that merely had a rough start.
   bool under_pressure_now() const {
     return evictions_ > 0 && alloc_count_ - last_eviction_alloc_ <= kPressureWindowAllocs;

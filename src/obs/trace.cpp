@@ -196,7 +196,10 @@ void TraceRecorder::record_marker(const char* name, double vtime) {
 void TraceRecorder::record_wall_chunk(int stream, uint64_t seq, uint64_t bytes, double wbegin,
                                       double wend) {
   std::lock_guard<std::mutex> lk(wall_mu_);
-  if (wall_ring_.size() >= capacity_) return;  // cap, never unbounded
+  if (wall_ring_.size() >= capacity_) {  // cap, never unbounded
+    ++wall_dropped_;
+    return;
+  }
   WallChunkSpan s;
   s.stream = stream;
   s.seq = seq;
@@ -215,6 +218,7 @@ void TraceRecorder::clear() {
   }
   std::lock_guard<std::mutex> lk(wall_mu_);
   wall_ring_.clear();
+  wall_dropped_ = 0;
 }
 
 std::vector<TraceSpan> TraceRecorder::spans() const {
@@ -239,8 +243,13 @@ std::vector<WallChunkSpan> TraceRecorder::wall_chunks() const {
 }
 
 size_t TraceRecorder::dropped() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return dropped_;
+  size_t n;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    n = dropped_;
+  }
+  std::lock_guard<std::mutex> lk(wall_mu_);
+  return n + wall_dropped_;
 }
 
 TraceRecorder& TraceSession::recorder_for(int device) {

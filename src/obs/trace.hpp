@@ -164,7 +164,9 @@ class TraceRecorder {
   void clear();
   std::vector<TraceSpan> spans() const;            ///< ring in record order
   std::vector<WallChunkSpan> wall_chunks() const;  ///< sorted (stream, seq)
-  size_t dropped() const;                          ///< spans evicted by the ring cap
+  /// Spans lost to the capacity cap: schedule spans the ring evicted plus
+  /// wall spans the full wall ring refused.
+  size_t dropped() const;
 
   /// Wall seconds since process-local epoch (steady clock).
   static double wall_now();
@@ -195,6 +197,7 @@ class TraceRecorder {
 
   mutable std::mutex wall_mu_;
   std::vector<WallChunkSpan> wall_ring_;
+  size_t wall_dropped_ = 0;
 };
 
 /// A trace over a device group: owns one recorder per device id. Trainers

@@ -8,7 +8,7 @@
 //      guests (oldest first, fetch-pending exempt) and the owner's tensor
 //      degrades transparently to plain kHost with identical bytes.
 //   4. Windowed pressure — under_pressure_now() decays as allocation traffic
-//      moves past the last eviction; the latching under_pressure() does not.
+//      moves past the last eviction.
 //   5. Trainer integration — staging off, staging with zero budget and
 //      staging on all train bit-identically; staging on actually stages on a
 //      pool-constrained pipeline and every transfer drains by iteration end.
@@ -143,17 +143,16 @@ TEST(PeerStaging, RoutingSkipsPeersUnderRecentPressure) {
   EXPECT_EQ(t->residency, Residency::kDevice);
 }
 
-TEST(PeerStaging, WindowedPressureDecaysLatchedDoesNot) {
+TEST(PeerStaging, WindowedPressureDecaysWithAllocationTraffic) {
   Rig rig(true, false, /*budget=*/0, /*cap_a=*/100 << 10);
   tensor::Tensor* t1 = make_filled(rig.reg_a, rig.a, "t1", 128);
   t1->residency = Residency::kDevice;
   make_filled(rig.reg_a, rig.a, "t2", 128);  // 64 KB each: evicts t1
   ASSERT_GT(rig.a.evictions(), 0u);
-  EXPECT_TRUE(rig.a.under_pressure());
   EXPECT_TRUE(rig.a.under_pressure_now());
 
   // Allocation traffic moves on without further evictions: the windowed
-  // signal decays, the latched one keeps firing until the iteration reset.
+  // signal decays.
   tensor::Tensor* s = rig.reg_a.create("small", tensor::Shape{1, 1, 16, 16},
                                        tensor::TensorKind::kGrad);
   for (uint64_t i = 0; i <= UnifiedTensorPool::kPressureWindowAllocs; ++i) {
@@ -163,10 +162,8 @@ TEST(PeerStaging, WindowedPressureDecaysLatchedDoesNot) {
     s->residency = Residency::kNone;
   }
   EXPECT_FALSE(rig.a.under_pressure_now());
-  EXPECT_TRUE(rig.a.under_pressure());
 
   rig.a.reset_iteration_counters();
-  EXPECT_FALSE(rig.a.under_pressure());
   EXPECT_FALSE(rig.a.under_pressure_now());
 }
 

@@ -84,6 +84,20 @@ TEST(TraceRecorder, RingEvictsOldestAndCountsDrops) {
   EXPECT_DOUBLE_EQ(spans.back().vbegin, 11.0);
 }
 
+TEST(TraceRecorder, FullWallRingCountsRefusedSpansAsDropped) {
+  // DMA workers record into a separate wall ring with the same cap; a span
+  // it refuses must show in dropped() or a truncated-ring audit passes.
+  obs::TraceRecorder rec(/*capacity=*/8);
+  for (int i = 0; i < 12; ++i) {
+    rec.record_wall_chunk(0, static_cast<uint64_t>(i), 64, static_cast<double>(i),
+                          static_cast<double>(i) + 0.5);
+  }
+  EXPECT_EQ(rec.wall_chunks().size(), 8u);
+  EXPECT_EQ(rec.dropped(), 4u);
+  rec.clear();
+  EXPECT_EQ(rec.dropped(), 0u);
+}
+
 TEST(TraceRecorder, ZeroDurationWaitRecordsOnlyWhenConsumingFlow) {
   obs::TraceRecorder rec;
   rec.set_ids(0, -1, -1);
