@@ -15,7 +15,6 @@
 //
 //   ./bench_ablate_eviction [--peer-staging on|off]
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <list>
 #include <string>
@@ -23,6 +22,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bench/cli_args.hpp"
 #include "bench/common.hpp"
 #include "core/liveness.hpp"
 #include "dist/hybrid_parallel.hpp"
@@ -104,10 +104,8 @@ core::IterationStats staging_run(const char* net_name, bool staging) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string staging_mode;  // empty = both rows
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--peer-staging") == 0) staging_mode = argv[i + 1];
-  }
+  const char* staging_arg = bench::parse_single_flag(argc, argv, "--peer-staging");
+  const std::string staging_mode = staging_arg ? staging_arg : "";  // empty = both rows
   if (!staging_mode.empty() && staging_mode != "on" && staging_mode != "off") {
     std::fprintf(stderr, "--peer-staging must be on|off\n");
     return 2;

@@ -7,8 +7,8 @@
 // traffic actually flows — on an uncontended device every lookahead is
 // trivially stall-free.
 #include <cstdio>
-#include <cstring>
 
+#include "bench/cli_args.hpp"
 #include "bench/common.hpp"
 #include "util/json_writer.hpp"
 
@@ -25,10 +25,7 @@ struct NetCase {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+  const char* json_path = bench::parse_single_flag(argc, argv, "--json");
   // Rows stream into the writer as the sweep runs; saved only with --json.
   util::JsonWriter w;
   w.begin_object();

@@ -9,8 +9,10 @@
 // time including the gradient all-reduce and the SGD step, so the
 // communication overhead the fabric model charges is visible as the gap to
 // linear speedup.
+#include <climits>
 #include <cstdio>
 
+#include "bench/cli_args.hpp"
 #include "bench/common.hpp"
 #include "dist/hybrid_parallel.hpp"
 
@@ -77,8 +79,13 @@ void sweep(const char* title, const std::string& net, bool weak, int batch,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: bench_scaling_devices [NETWORK [BATCH]]\n");
+    return 2;
+  }
   std::string net = argc > 1 ? argv[1] : "ResNet50";
-  int batch = argc > 2 ? std::atoi(argv[2]) : 32;
+  bench::require_network(net);
+  int batch = argc > 2 ? static_cast<int>(bench::parse_count("batch", argv[2], 1, INT_MAX)) : 32;
 
   std::printf("=== Data-parallel scaling on the simulated cluster (%s) ===\n", net.c_str());
   sweep("NVLink fabric", net, /*weak=*/true, batch, sim::nvlink_cluster_spec(1));

@@ -19,10 +19,10 @@
 // An optional argument (`--json PATH`) writes the results as JSON for the CI
 // artifact upload.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/cli_args.hpp"
 #include "bench/common.hpp"
 #include "core/transfer_engine.hpp"
 #include "util/json_writer.hpp"
@@ -108,10 +108,7 @@ NetResult run_net(const char* name, int batch, uint64_t capacity, bool tensor_ca
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+  const char* json_path = bench::parse_single_flag(argc, argv, "--json");
 
   // --- engine-level microbench (deterministic) -----------------------------
   const int kCopies = 32;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace sn::bench {
 
@@ -23,6 +24,26 @@ inline uint64_t parse_count(const char* flag, const char* text, uint64_t min, ui
     std::exit(2);
   }
   return v;
+}
+
+/// Whole command line of a bench that takes one optional `flag VALUE` pair:
+/// returns VALUE, or nullptr when the flag is absent. Any other argument, or
+/// the flag without its value, exits 2 — a typo must not run the whole bench
+/// and quietly skip what the flag asked for.
+inline const char* parse_single_flag(int argc, char** argv, const char* flag) {
+  const char* value = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) {
+      std::fprintf(stderr, "unknown arg: %s\n", argv[i]);
+      std::exit(2);
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s wants a value\n", flag);
+      std::exit(2);
+    }
+    value = argv[++i];
+  }
+  return value;
 }
 
 }  // namespace sn::bench

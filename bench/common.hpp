@@ -7,6 +7,8 @@
 // 10^3+) on any development machine in seconds.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -30,6 +32,18 @@ inline std::unique_ptr<graph::Net> build_network(const std::string& name, int ba
   if (name == "ResNet101") return graph::build_resnet_preset(101, batch);
   if (name == "ResNet152") return graph::build_resnet_preset(152, batch);
   throw std::invalid_argument("unknown network " + name);
+}
+
+/// Command-line check for a network name: exits 2 with a usage error when
+/// build_network does not know `name`, like any other bad argument, instead
+/// of letting the exception abort the run later.
+inline void require_network(const std::string& name) {
+  try {
+    build_network(name, 1);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
 }
 
 /// One steady-state simulated iteration (params already resident; the first

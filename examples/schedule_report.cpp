@@ -29,7 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -145,12 +144,7 @@ int main(int argc, char** argv) {
   int batch =
       pos.size() > 1 ? static_cast<int>(bench::parse_count("batch", pos[1].c_str(), 1, INT_MAX))
                      : 64;
-  try {
-    bench::build_network(name, 1);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  bench::require_network(name);
 
   if (pipe_stages > 0) {
     std::printf("=== %s (batch %d): %d-stage pipeline, %d microbatches ===\n", name.c_str(),

@@ -211,6 +211,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  bench::require_network(name);
   const dist::SchedulePolicy policy =
       sched_arg == "gpipe" ? dist::SchedulePolicy::kGPipe : dist::SchedulePolicy::k1F1B;
   auto factory = [&](int b) { return bench::build_network(name, b); };

@@ -81,7 +81,7 @@ MemoryPlan::MemoryPlan(const graph::Net& net, const Liveness& liveness,
       for (tensor::Tensor* u : steps[n].layer->backward_uses()) {
         if (seen[u->uid()] == s) continue;
         seen[u->uid()] = s;
-        prefetches_[s].push_back({u, span});
+        prefetches_[s].push_back(u);
       }
       if (RecomputePlan::is_checkpoint_layer(steps[n].layer)) ++span;
     }

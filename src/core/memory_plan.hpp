@@ -37,24 +37,16 @@ class MemoryPlan {
     tensor::Tensor* tensor;
   };
 
-  /// One planned stage: the tensor plus which checkpoint span (0 = the span
-  /// entered next, the paper's policy; 1.. = deeper lookahead) first reads
-  /// it. Under memory pressure the Runtime sends span-0 stages at high
-  /// priority, since those are the ones backward stalls on.
-  struct Prefetch {
-    tensor::Tensor* tensor;
-    int span;
-  };
-
   MemoryPlan(const graph::Net& net, const Liveness& liveness, const RecomputePlan& recompute,
              const RuntimeOptions& opts);
 
   /// After step `step` executes: frees, then drops, then the eager offload.
   const std::vector<Release>& releases(int step) const { return releases_[step]; }
 
-  /// After step `step` executes: what to stage (empty off checkpoint
-  /// backward steps, and without offload + async transfers).
-  const std::vector<Prefetch>& prefetches(int step) const { return prefetches_[step]; }
+  /// After step `step` executes: what to stage, nearest checkpoint span
+  /// first (empty off checkpoint backward steps, and without offload + async
+  /// transfers).
+  const std::vector<tensor::Tensor*>& prefetches(int step) const { return prefetches_[step]; }
 
   /// Whether a tensor regenerated for backward step `step` is dropped again:
   /// it belongs to a memory-centric segment and is read after `step`.
@@ -74,7 +66,7 @@ class MemoryPlan {
   std::vector<int> last_forward_use_;
   std::vector<int> redrop_until_;  ///< uid -> last occurrence if memory-centric, else -1
   std::vector<std::vector<Release>> releases_;
-  std::vector<std::vector<Prefetch>> prefetches_;
+  std::vector<std::vector<tensor::Tensor*>> prefetches_;
 };
 
 /// Per-net prefetch-lookahead default, applied when RuntimeOptions leaves

@@ -356,25 +356,18 @@ void Runtime::post_step(const graph::Step& step) {
   pool_->poll_offloads(step.index);
 
   // Stage every host- or peer-resident dependency that fits without
-  // eviction; the first that does not fit ends staging for this step. Under
-  // windowed pressure the nearest span goes out high-priority, bypassing
-  // deeper speculative stages on the H2D stream's wall clock (virtual time
-  // is unaffected by priorities).
-  const bool pressured = pool_->under_pressure_now();
-  for (const MemoryPlan::Prefetch& p : memory_plan_.prefetches(step.index)) {
-    tensor::Tensor* u = p.tensor;
+  // eviction; the first that does not fit ends staging for this step.
+  for (tensor::Tensor* u : memory_plan_.prefetches(step.index)) {
     if (external_pending_.count(u->uid())) continue;  // bytes still on a peer
-    const TransferPriority prio = (pressured && p.span == 0) ? TransferPriority::kHigh
-                                                             : TransferPriority::kNormal;
     if (u->residency == tensor::Residency::kPeer) {
       // Peer-staged dependency: stage it back over the P2P link, off the
       // host uplink entirely.
       if (pool_->peer_fetch_pending(u->uid())) continue;
-      if (!pool_->prefetch_from_peer(u, prio)) break;
+      if (!pool_->prefetch_from_peer(u)) break;
       continue;
     }
     if (u->residency != tensor::Residency::kHost || pool_->prefetch_pending(u->uid())) continue;
-    if (!pool_->prefetch(u, prio)) break;
+    if (!pool_->prefetch(u)) break;
   }
 
   note_peak();

@@ -127,12 +127,8 @@ void UnifiedTensorPool::offload_to_host(tensor::Tensor* t, bool async) {
   if (engine_->pending(TransferDir::kD2H, t->uid())) {
     engine_->wait(TransferDir::kD2H, t->uid());
   }
-  // Synchronous offloads (evictions) are waited immediately — the memory is
-  // reused now — so they jump the D2H queue ahead of eager async offloads.
-  const TransferPriority prio = (async && cfg_.async_transfers) ? TransferPriority::kNormal
-                                                                : TransferPriority::kHigh;
   engine_->submit(TransferDir::kD2H, t->uid(), device_ptr(t), host_pool_.ptr(t->host_handle),
-                  t->bytes(), prio);
+                  t->bytes());
   t->residency = tensor::Residency::kBoth;
   if (!(async && cfg_.async_transfers)) {
     engine_->wait(TransferDir::kD2H, t->uid());
@@ -163,23 +159,22 @@ void UnifiedTensorPool::free_host(tensor::Tensor* t) {
   }
 }
 
-void UnifiedTensorPool::fetch_from_host(tensor::Tensor* t) {
+void UnifiedTensorPool::submit_host_fetch(tensor::Tensor* t) {
   alloc_device(t);
-  // On-demand: the consumer needs the bytes now, so the fetch bypasses any
-  // speculative prefetch backlog queued on the H2D stream.
-  engine_->submit(TransferDir::kH2D, t->uid(), host_pool_.ptr(t->host_handle), device_ptr(t),
-                  t->bytes(), TransferPriority::kHigh);
-  engine_->wait(TransferDir::kH2D, t->uid());
   t->residency = tensor::Residency::kBoth;
+  engine_->submit(TransferDir::kH2D, t->uid(), host_pool_.ptr(t->host_handle), device_ptr(t),
+                  t->bytes());
+}
+
+void UnifiedTensorPool::fetch_from_host(tensor::Tensor* t) {
+  submit_host_fetch(t);
+  finish_prefetch(t);
   if (cfg_.tensor_cache) cache_.count_miss();
 }
 
-bool UnifiedTensorPool::prefetch(tensor::Tensor* t, TransferPriority prio) {
+bool UnifiedTensorPool::prefetch(tensor::Tensor* t) {
   if (allocator_->largest_free() < t->bytes()) return false;  // no room: never evict for a prefetch
-  alloc_device(t);
-  t->residency = tensor::Residency::kBoth;
-  engine_->submit(TransferDir::kH2D, t->uid(), host_pool_.ptr(t->host_handle), device_ptr(t),
-                  t->bytes(), prio);
+  submit_host_fetch(t);
   return true;
 }
 
@@ -218,8 +213,7 @@ bool UnifiedTensorPool::stage_to_peer(tensor::Tensor* t) {
   const uint64_t tag = group_->next_tag();
   const uint64_t flow = group_->next_flow(cfg_.device_id);
   sim::Event e = engine_->submit_p2p(tag, device_ptr(t), peer->guest_ptr(handle), bytes,
-                                     peer_dev, machine_.now(), TransferPriority::kHigh, flow,
-                                     "peer_stage");
+                                     peer_dev, machine_.now(), flow, "peer_stage");
   // Synchronous, like the eviction offload it replaces: the memory is reused
   // immediately, so compute stalls until the link copy arrives (the stall
   // consumes the staging flow, pairing the spans for the trace audit).
@@ -238,12 +232,11 @@ bool UnifiedTensorPool::stage_to_peer(tensor::Tensor* t) {
   return true;
 }
 
-void UnifiedTensorPool::fetch_from_peer(tensor::Tensor* t) {
+void UnifiedTensorPool::submit_peer_fetch(tensor::Tensor* t) {
   assert(group_ && t->residency == tensor::Residency::kPeer);
   UnifiedTensorPool* peer = group_->member_pool(t->peer_device);
   assert(peer && "staged copy's host left the group");
   const uint64_t handle = t->peer_handle;
-  const uint64_t bytes = t->bytes();
   const double staged_at = group_->guest_staged_at(this, t->uid());
   alloc_device(t);
   // Submitted on the PEER's engine (sender side of the link); this pool's
@@ -251,41 +244,24 @@ void UnifiedTensorPool::fetch_from_peer(tensor::Tensor* t) {
   // same contract as a pipeline receive.
   const uint64_t tag = group_->next_tag();
   const uint64_t flow = group_->next_flow(t->peer_device);
-  sim::Event e = peer->engine().submit_p2p(
-      tag, peer->guest_ptr(handle), device_ptr(t), bytes, cfg_.device_id,
-      std::max(staged_at, machine_.now()), TransferPriority::kHigh, flow, "peer_fetch");
-  if (auto* rec = machine_.trace()) {
-    rec->set_stall_context(obs::StallSource::kTransfer, "peer_fetch", "", -1, flow);
-  }
-  machine_.wait_event(e);
-  if (auto* rec = machine_.trace()) rec->clear_stall_context();
-  peer->engine().retire_landed(TransferDir::kP2P, tag);
-  group_->unregister_guest(this, t->uid());
-  peer->release_guest(handle);
-  t->residency = tensor::Residency::kDevice;
-  t->peer_device = -1;
-  t->peer_handle = 0;
-  ++peer_fetch_count_;
-  if (cfg_.tensor_cache) cache_.count_miss();
-}
-
-bool UnifiedTensorPool::prefetch_from_peer(tensor::Tensor* t, TransferPriority prio) {
-  assert(group_ && t->residency == tensor::Residency::kPeer);
-  if (allocator_->largest_free() < t->bytes()) return false;  // never evict to stage back
-  UnifiedTensorPool* peer = group_->member_pool(t->peer_device);
-  assert(peer && "staged copy's host left the group");
-  const uint64_t handle = t->peer_handle;
-  const double staged_at = group_->guest_staged_at(this, t->uid());
-  alloc_device(t);
-  const uint64_t tag = group_->next_tag();
-  const uint64_t flow = group_->next_flow(t->peer_device);
-  sim::Event e = peer->engine().submit_p2p(
-      tag, peer->guest_ptr(handle), device_ptr(t), t->bytes(), cfg_.device_id,
-      std::max(staged_at, machine_.now()), prio, flow, "peer_fetch");
+  sim::Event e = peer->engine().submit_p2p(tag, peer->guest_ptr(handle), device_ptr(t),
+                                           t->bytes(), cfg_.device_id,
+                                           std::max(staged_at, machine_.now()), flow, "peer_fetch");
   // The tensor stays kPeer — not on_device — until the landing is retired,
   // which also keeps the cache's victim scan off its half-filled buffer.
   group_->mark_fetch_pending(this, t->uid(), true);
   peer_fetches_[t->uid()] = PendingPeerFetch{t->peer_device, tag, e, flow};
+}
+
+void UnifiedTensorPool::fetch_from_peer(tensor::Tensor* t) {
+  submit_peer_fetch(t);
+  finish_peer_fetch(t);
+  if (cfg_.tensor_cache) cache_.count_miss();
+}
+
+bool UnifiedTensorPool::prefetch_from_peer(tensor::Tensor* t) {
+  if (allocator_->largest_free() < t->bytes()) return false;  // never evict to stage back
+  submit_peer_fetch(t);
   return true;
 }
 
@@ -346,14 +322,14 @@ void UnifiedTensorPool::spill_guest_to_owner(UnifiedTensorPool& owner, uint64_t 
                      "host pool OOM spilling guest " + t->name()};
     }
   }
-  // The spill rides THIS pool's D2H uplink at eviction priority — the freed
-  // space is needed now — landing in the OWNER's host pool, so the owner's
+  // The spill rides THIS pool's D2H uplink, synchronously — the freed space
+  // is needed now — landing in the OWNER's host pool, so the owner's
   // ordinary kHost fetch path takes over from here.
   if (auto* rec = machine_.trace()) {
     rec->set_stall_context(obs::StallSource::kTransfer, "peer_spill", "", -1, 0);
   }
   engine_->submit(TransferDir::kD2H, tag, guest_ptr(handle),
-                  owner.host_pool_.ptr(t->host_handle), t->bytes(), TransferPriority::kHigh);
+                  owner.host_pool_.ptr(t->host_handle), t->bytes());
   engine_->wait(TransferDir::kD2H, tag);
   if (auto* rec = machine_.trace()) rec->clear_stall_context();
   release_guest(handle);

@@ -103,16 +103,14 @@ class UnifiedTensorPool {
   /// Free the host copy (if any) — liveness end-of-life path.
   void free_host(tensor::Tensor* t);
 
-  /// On-demand H2D: allocate, copy, wait (the consumer needs the bytes now).
+  /// On-demand H2D: the prefetch's submit (evicting for room if needed),
+  /// then finish_prefetch() — the consumer needs the bytes now.
   void fetch_from_host(tensor::Tensor* t);
 
   /// Asynchronous H2D stage of a host-resident tensor. Returns false (and
   /// does nothing) when the free device memory cannot fit it — prefetching
-  /// must never trigger eviction (§3.3.1). `prio` is the H2D stream queue
-  /// priority: the orchestrator raises it for the nearest backward span when
-  /// the pool is under pressure, so urgent stages bypass the speculative
-  /// prefetch backlog on the wall clock (virtual time is unaffected).
-  bool prefetch(tensor::Tensor* t, TransferPriority prio = TransferPriority::kNormal);
+  /// must never trigger eviction (§3.3.1).
+  bool prefetch(tensor::Tensor* t);
 
   /// Wait for an in-flight prefetch of `t` (no-op when none is pending).
   void finish_prefetch(tensor::Tensor* t);
@@ -148,16 +146,17 @@ class UnifiedTensorPool {
   /// offload already in flight (the host path owns that case).
   bool stage_to_peer(tensor::Tensor* t);
 
-  /// On-demand fetch-back of a kPeer tensor: allocate device memory, pull the
-  /// bytes over the peer link (submitted on the PEER's engine; this pool's
-  /// machine stalls on the arrival), release the guest slot.
+  /// On-demand fetch-back of a kPeer tensor: prefetch_from_peer()'s submit
+  /// (evicting for room if needed), then finish_peer_fetch().
   void fetch_from_peer(tensor::Tensor* t);
 
-  /// Asynchronous fetch-back (prefetch analogue). Refuses — returns false —
-  /// when the free device memory cannot fit it: staging back must never
-  /// trigger eviction, exactly like prefetch(). The tensor stays kPeer until
-  /// finish_peer_fetch() retires the landing.
-  bool prefetch_from_peer(tensor::Tensor* t, TransferPriority prio = TransferPriority::kNormal);
+  /// Asynchronous fetch-back: allocate device memory and pull the bytes over
+  /// the peer link (submitted on the PEER's engine; this pool's machine
+  /// stalls on the arrival). Refuses — returns false — when the free device
+  /// memory cannot fit it: staging back must never trigger eviction, exactly
+  /// like prefetch(). The tensor stays kPeer until finish_peer_fetch()
+  /// retires the landing and releases the guest slot.
+  bool prefetch_from_peer(tensor::Tensor* t);
 
   /// Wait out an in-flight peer fetch of `t` (no-op when none is pending).
   void finish_peer_fetch(tensor::Tensor* t);
@@ -216,9 +215,7 @@ class UnifiedTensorPool {
 
   /// Windowed pressure signal: an eviction happened within the last
   /// kPressureWindowAllocs device allocations. It decays as allocation
-  /// traffic moves on, so the orchestrator's prefetch-priority escalation
-  /// ("prefetch > offload" on the DMA streams' wall clock) stops once
-  /// contention passes, and the peer-staging router can tell a
+  /// traffic moves on, so the peer-staging router can tell a
   /// currently-squeezed pool from one that merely had a rough start.
   bool under_pressure_now() const {
     return evictions_ > 0 && alloc_count_ - last_eviction_alloc_ <= kPressureWindowAllocs;
@@ -233,6 +230,13 @@ class UnifiedTensorPool {
 
  private:
   tensor::Tensor* by_uid(uint64_t uid) { return registry_.get(uid); }
+
+  /// Allocate `t` on the device and submit its H2D copy (prefetch and
+  /// on-demand fetch alike; the caller owns the room check).
+  void submit_host_fetch(tensor::Tensor* t);
+  /// Allocate `t` on the device and submit its fetch-back on the peer's
+  /// engine, registered in peer_fetches_ until finish_peer_fetch().
+  void submit_peer_fetch(tensor::Tensor* t);
 
   tensor::TensorRegistry& registry_;
   sim::Machine& machine_;

@@ -18,9 +18,8 @@ TransferEngine::TransferEngine(sim::Machine& machine, bool pinned, int device_id
 TransferEngine::~TransferEngine() = default;
 
 sim::Event TransferEngine::track(TransferDir dir, int peer, uint64_t tag, sim::Event e,
-                                 const void* src, void* dst, uint64_t bytes,
-                                 TransferPriority prio) {
-  Ticket ticket = dispatch(dir, peer, src, dst, bytes, prio);
+                                 const void* src, void* dst, uint64_t bytes) {
+  Ticket ticket = dispatch(dir, peer, src, dst, bytes);
   pending_[index(dir)][tag] = Pending{e, ticket};
   switch (dir) {
     case TransferDir::kD2H: ++stats_.submitted_d2h; break;
@@ -31,18 +30,18 @@ sim::Event TransferEngine::track(TransferDir dir, int peer, uint64_t tag, sim::E
 }
 
 sim::Event TransferEngine::submit(TransferDir dir, uint64_t tag, const void* src, void* dst,
-                                  uint64_t bytes, TransferPriority prio) {
+                                  uint64_t bytes) {
   assert_submit_owner();
   assert(dir != TransferDir::kP2P && "P2P transfers go through submit_p2p");
   assert(!pending(dir, tag) && "one transfer per (dir, tag) may be in flight");
   sim::Event e = machine_.async_copy(
       dir == TransferDir::kD2H ? sim::CopyDir::kD2H : sim::CopyDir::kH2D, bytes, pinned_);
-  return track(dir, /*peer=*/-1, tag, e, src, dst, bytes, prio);
+  return track(dir, /*peer=*/-1, tag, e, src, dst, bytes);
 }
 
 sim::Event TransferEngine::submit_p2p(uint64_t tag, const void* src, void* dst, uint64_t bytes,
-                                      int peer, double not_before, TransferPriority prio,
-                                      uint64_t flow, const char* span_name) {
+                                      int peer, double not_before, uint64_t flow,
+                                      const char* span_name) {
   assert_submit_owner();
   assert(!pending(TransferDir::kP2P, tag) && "one transfer per (dir, tag) may be in flight");
   sim::Event e = machine_.p2p_copy(peer, bytes, not_before);
@@ -50,12 +49,11 @@ sim::Event TransferEngine::submit_p2p(uint64_t tag, const void* src, void* dst, 
     rec->record_copy(obs::SpanKind::kP2P, obs::kStreamP2PBase + peer,
                      e.done_at - machine_.p2p_seconds(bytes), e.done_at, bytes, flow, span_name);
   }
-  return track(TransferDir::kP2P, peer, tag, e, src, dst, bytes, prio);
+  return track(TransferDir::kP2P, peer, tag, e, src, dst, bytes);
 }
 
 TransferEngine::Ticket TransferEngine::dispatch(TransferDir /*dir*/, int /*peer*/,
-                                                const void* src, void* dst, uint64_t bytes,
-                                                TransferPriority /*prio*/) {
+                                                const void* src, void* dst, uint64_t bytes) {
   if (src && dst) {
     std::memcpy(dst, src, bytes);
     ++stats_.inline_copies;
@@ -194,7 +192,6 @@ DmaTransferEngine::~DmaTransferEngine() {
 }
 
 void DmaTransferEngine::start_worker(Worker& w) {
-  w.paused = paused_;
   w.thread = std::thread([this, &w] { worker_loop(w); });
 }
 
@@ -232,13 +229,12 @@ DmaTransferEngine::Worker* DmaTransferEngine::worker_by_stream(int stream) {
 }
 
 TransferEngine::Ticket DmaTransferEngine::dispatch(TransferDir dir, int peer, const void* src,
-                                                   void* dst, uint64_t bytes,
-                                                   TransferPriority prio) {
+                                                   void* dst, uint64_t bytes) {
   Worker& w = worker_for(dir, peer);
   uint64_t seq = ++w.next_seq;  // compute-thread owned (assert_submit_owner in submit)
   {
     std::lock_guard<std::mutex> lock(w.mu);
-    (prio == TransferPriority::kHigh ? w.high : w.normal).push_back(Job{src, dst, bytes, seq});
+    w.queue.push_back(Job{src, dst, bytes, seq});
   }
   w.cv.notify_one();
   return Ticket{w.stream, seq};
@@ -248,24 +244,14 @@ void DmaTransferEngine::ensure_landed(const Ticket& ticket) {
   Worker* w = worker_by_stream(ticket.stream);
   assert(w && "ticket for an unknown stream");
   std::unique_lock<std::mutex> lock(w->mu);
-  w->done_cv.wait(lock, [&] {
-    return ticket.seq <= w->landed_floor || w->landed.count(ticket.seq) != 0;
-  });
+  w->done_cv.wait(lock, [&] { return ticket.seq <= w->landed; });
 }
 
 void DmaTransferEngine::mark_landed(Worker& w, uint64_t seq) {
   {
     std::lock_guard<std::mutex> lock(w.mu);
-    if (seq == w.landed_floor + 1) {
-      ++w.landed_floor;
-      // Absorb completions that landed out of (submit) order earlier.
-      while (!w.landed.empty() && *w.landed.begin() == w.landed_floor + 1) {
-        w.landed.erase(w.landed.begin());
-        ++w.landed_floor;
-      }
-    } else {
-      w.landed.insert(seq);
-    }
+    assert(seq == w.landed + 1 && "a FIFO stream lands its jobs in submit order");
+    w.landed = seq;
   }
   w.done_cv.notify_all();
 }
@@ -275,17 +261,10 @@ void DmaTransferEngine::worker_loop(Worker& w) {
     Job job;
     {
       std::unique_lock<std::mutex> lock(w.mu);
-      w.cv.wait(lock, [&] {
-        return w.stop || (!w.paused && (!w.high.empty() || !w.normal.empty()));
-      });
-      if (w.high.empty() && w.normal.empty()) return;  // stop set and queue drained
-      if (!w.high.empty()) {
-        job = w.high.front();
-        w.high.pop_front();
-      } else {
-        job = w.normal.front();
-        w.normal.pop_front();
-      }
+      w.cv.wait(lock, [&] { return w.stop || !w.queue.empty(); });
+      if (w.queue.empty()) return;  // stop set and queue drained
+      job = w.queue.front();
+      w.queue.pop_front();
     }
     run_job(w, job);
     mark_landed(w, job.seq);
@@ -305,21 +284,6 @@ void DmaTransferEngine::run_job(Worker& w, const Job& job) {
   const double wbegin = rec ? obs::TraceRecorder::wall_now() : 0.0;
   std::memcpy(job.dst, job.src, job.bytes);
   if (rec) rec->record_wall_chunk(w.stream, job.seq, job.bytes, wbegin, obs::TraceRecorder::wall_now());
-}
-
-void DmaTransferEngine::pause_workers_for_testing(bool paused) {
-  assert_submit_owner();
-  paused_ = paused;
-  auto set = [&](Worker& w) {
-    {
-      std::lock_guard<std::mutex> lock(w.mu);
-      w.paused = paused;
-    }
-    w.cv.notify_all();
-  };
-  set(dir_workers_[kStreamD2H]);
-  set(dir_workers_[kStreamH2D]);
-  for (auto& [peer, w] : p2p_workers_) set(*w);
 }
 
 void DmaTransferEngine::fill_dma_stats(TransferStats& s) const {

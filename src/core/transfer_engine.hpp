@@ -13,21 +13,14 @@
 //     bit-for-bit).
 //   * DmaTransferEngine       — a StreamSet of dedicated DMA workers: one
 //     thread per direction (H2D, D2H) plus one per directed P2P link, each
-//     draining its own two-level priority queue, so offload and prefetch
-//     traffic overlap each other as well as compute. A worker moves each job
-//     with one memcpy straight between the device buffer and its pinned
-//     host (or peer) buffer: the pool's pinned memory is the DMA target
-//     itself (paper §3.3). Completion *decisions* are still gated on the
-//     virtual event, which keeps the schedule deterministic and identical to
-//     the synchronous backend; the wall-clock memcpy merely has to have
-//     landed by the time the decision point is reached (ensure_landed()).
-//
-// Priorities are wall-clock-only by construction: a high-priority job may
-// overtake queued normal jobs on its own stream (urgent fetches bypass
-// speculative prefetch backlog; eviction offloads bypass eager ones), but
-// the virtual completion event — the only thing scheduling decisions read —
-// is computed at submit and cannot be affected. That is what lets the
-// multi-stream engine stay bit-identical to the serialized one.
+//     draining its own FIFO queue, so offload and prefetch traffic overlap
+//     each other as well as compute. A worker moves each job with one memcpy
+//     straight between the device buffer and its pinned host (or peer)
+//     buffer: the pool's pinned memory is the DMA target itself (paper
+//     §3.3). Completion *decisions* are still gated on the virtual event,
+//     which keeps the schedule deterministic and identical to the
+//     synchronous backend; the wall-clock memcpy merely has to have landed
+//     by the time the decision point is reached (ensure_landed()).
 //
 // Transfers are tagged by tensor uid; at most one transfer per (direction,
 // tag) is in flight — the same invariant the seed's pending_d2h_/pending_h2d_
@@ -42,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -52,11 +44,6 @@
 namespace sn::core {
 
 enum class TransferDir { kD2H, kH2D, kP2P };
-
-/// Wall-clock queue priority on the owning stream. Never affects virtual
-/// time (see file comment): kHigh only overtakes kNormal jobs that have not
-/// started copying yet.
-enum class TransferPriority { kNormal, kHigh };
 
 /// Counters the pool snapshots into StepTelemetry (and tests assert on).
 struct TransferStats {
@@ -108,8 +95,7 @@ class TransferEngine {
   /// Returns the sim completion event (tests inspect it; clients use the
   /// tag-based calls below). P2P submissions go through submit_p2p (they
   /// need a peer and an explicit data dependency).
-  sim::Event submit(TransferDir dir, uint64_t tag, const void* src, void* dst, uint64_t bytes,
-                    TransferPriority prio = TransferPriority::kNormal);
+  sim::Event submit(TransferDir dir, uint64_t tag, const void* src, void* dst, uint64_t bytes);
 
   /// Enqueue a peer-to-peer copy to device `peer` over the cluster link,
   /// starting no earlier than `not_before` (virtual time; collectives chain
@@ -122,8 +108,7 @@ class TransferEngine {
   /// labels the recorded kP2P span ("p2p" for schedule sends; peer staging
   /// passes "peer_stage" / "peer_fetch" so traces attribute the variant).
   sim::Event submit_p2p(uint64_t tag, const void* src, void* dst, uint64_t bytes, int peer,
-                        double not_before, TransferPriority prio = TransferPriority::kNormal,
-                        uint64_t flow = 0, const char* span_name = "p2p");
+                        double not_before, uint64_t flow = 0, const char* span_name = "p2p");
 
   /// Retire the transfer if it has completed in virtual time (blocking, if
   /// needed, until the bytes have physically landed). Returns true when no
@@ -222,8 +207,7 @@ class TransferEngine {
 
   /// Move the bytes (or hand them to the owning stream's worker). `peer` is
   /// meaningful for kP2P only. Base: inline memcpy on the compute thread.
-  virtual Ticket dispatch(TransferDir dir, int peer, const void* src, void* dst, uint64_t bytes,
-                          TransferPriority prio);
+  virtual Ticket dispatch(TransferDir dir, int peer, const void* src, void* dst, uint64_t bytes);
 
   /// Block until the copy behind `ticket` has physically landed on its
   /// stream. Base backend copies inline, so everything submitted has landed.
@@ -243,13 +227,13 @@ class TransferEngine {
 
  private:
   sim::Event track(TransferDir dir, int peer, uint64_t tag, sim::Event e, const void* src,
-                   void* dst, uint64_t bytes, TransferPriority prio);
+                   void* dst, uint64_t bytes);
   void retire(TransferDir dir, uint64_t tag, bool discarded);
 };
 
 /// Asynchronous backend: a StreamSet of DMA workers — one per direction plus
-/// one per P2P peer — each with a two-level priority queue, each copying a
-/// job with one memcpy on its own thread.
+/// one per P2P peer — each with a FIFO queue, each copying a job with one
+/// memcpy on its own thread.
 class DmaTransferEngine final : public TransferEngine {
  public:
   /// Starts the two PCIe-direction workers; P2P link workers start lazily at
@@ -259,13 +243,9 @@ class DmaTransferEngine final : public TransferEngine {
 
   bool async_backend() const override { return true; }
 
-  /// Freeze / unfreeze every worker's queue pop. Unit tests use this to
-  /// enqueue a deterministic mix of priorities before anything runs.
-  void pause_workers_for_testing(bool paused);
-
  protected:
-  Ticket dispatch(TransferDir dir, int peer, const void* src, void* dst, uint64_t bytes,
-                  TransferPriority prio) override;
+  Ticket dispatch(TransferDir dir, int peer, const void* src, void* dst,
+                  uint64_t bytes) override;
   void ensure_landed(const Ticket& ticket) override;
   void fill_dma_stats(TransferStats& s) const override;
 
@@ -288,16 +268,11 @@ class DmaTransferEngine final : public TransferEngine {
 
     // --- queue state (guarded by mu) --------------------------------------
     std::mutex mu;
-    std::condition_variable cv;       ///< wakes the worker: job / stop / unpause
+    std::condition_variable cv;       ///< wakes the worker: job / stop
     std::condition_variable done_cv;  ///< wakes ensure_landed: a job landed
-    std::deque<Job> high, normal;     ///< two-level priority, FIFO within level
+    std::deque<Job> queue;            ///< FIFO: jobs land in submit order
     bool stop = false;
-    bool paused = false;
-    /// Landed tracking that survives priority reordering: every seq <= floor
-    /// has landed; out-of-order completions park in `landed` until the floor
-    /// catches up.
-    uint64_t landed_floor = 0;
-    std::set<uint64_t> landed;
+    uint64_t landed = 0;  ///< every seq <= landed has landed
 
     std::atomic<uint64_t> dma_copies{0};
 
@@ -314,8 +289,6 @@ class DmaTransferEngine final : public TransferEngine {
   void worker_loop(Worker& w);
   void run_job(Worker& w, const Job& job);
   void mark_landed(Worker& w, uint64_t seq);
-
-  bool paused_ = false;  ///< compute-thread copy of the pause flag (new workers inherit it)
 
   Worker dir_workers_[2];  ///< [kStreamD2H, kStreamH2D]
   /// Per-peer P2P link workers, created lazily at first submit (ordered map:

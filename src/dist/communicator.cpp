@@ -195,11 +195,10 @@ void Communicator::run_ring(const std::vector<float*>& bufs, uint64_t elems,
       const float* src = backed ? bufs[r] + off[c] : nullptr;
       float* rcv = backed ? scratch_[static_cast<size_t>(dst)].data() : nullptr;
       // Collective hops are waited immediately below: on the async backend
-      // they route to the per-link P2P workers at high priority, ahead of
-      // any eager offload traffic sharing the engine.
+      // they run on the per-link P2P workers, off the PCIe streams that
+      // carry offload traffic.
       ev[r] = engines_[r]->submit_p2p(tags[r], src, rcv, len[c] * sizeof(float),
-                                      devices_[static_cast<size_t>(dst)], ready[r],
-                                      core::TransferPriority::kHigh);
+                                      devices_[static_cast<size_t>(dst)], ready[r]);
     }
     for (int r = 0; r < n; ++r) engines_[r]->wait(core::TransferDir::kP2P, tags[r]);
     std::vector<double> next(ready);
@@ -227,8 +226,7 @@ void Communicator::run_ring(const std::vector<float*>& bufs, uint64_t elems,
       const float* src = backed ? bufs[r] + off[c] : nullptr;
       float* rcv = backed ? bufs[dst] + off[c] : nullptr;
       ev[r] = engines_[r]->submit_p2p(tags[r], src, rcv, len[c] * sizeof(float),
-                                      devices_[static_cast<size_t>(dst)], ready[r],
-                                      core::TransferPriority::kHigh);
+                                      devices_[static_cast<size_t>(dst)], ready[r]);
     }
     for (int r = 0; r < n; ++r) engines_[r]->wait(core::TransferDir::kP2P, tags[r]);
     for (int r = 0; r < n; ++r) {
@@ -287,8 +285,7 @@ void Communicator::run_halving_doubling(const std::vector<float*>& bufs, uint64_
       const float* src = backed ? bufs[r] + send_lo : nullptr;
       float* rcv = backed ? scratch_[static_cast<size_t>(p)].data() : nullptr;
       ev[r] = engines_[r]->submit_p2p(tags[r], src, rcv, (send_hi - send_lo) * sizeof(float),
-                                      devices_[static_cast<size_t>(p)], ready[r],
-                                      core::TransferPriority::kHigh);
+                                      devices_[static_cast<size_t>(p)], ready[r]);
     }
     for (int r = 0; r < n; ++r) {
       if (tags[r]) engines_[r]->wait(core::TransferDir::kP2P, tags[r]);
@@ -327,8 +324,7 @@ void Communicator::run_halving_doubling(const std::vector<float*>& bufs, uint64_
       const float* src = backed ? bufs[r] + lo[r] : nullptr;
       float* rcv = backed ? bufs[p] + lo[r] : nullptr;
       ev[r] = engines_[r]->submit_p2p(tags[r], src, rcv, len * sizeof(float),
-                                      devices_[static_cast<size_t>(p)], ready[r],
-                                      core::TransferPriority::kHigh);
+                                      devices_[static_cast<size_t>(p)], ready[r]);
     }
     for (int r = 0; r < n; ++r) {
       if (tags[r]) engines_[r]->wait(core::TransferDir::kP2P, tags[r]);

@@ -246,11 +246,10 @@ void HybridParallelTrainer::send_activation(int s, int r, int m, int slot) {
   const uint64_t tag = next_tag_++;
   const float* src = device_ptr(s, r, out_t_[c]);
   float* dst = real_ ? stash_[cn][static_cast<size_t>(slot)].data() : nullptr;
-  // Activation streaming rides the critical path: high priority, like the
-  // Communicator's collective hops.
+  // Activation streaming rides the critical path on the per-link P2P worker,
+  // like the Communicator's collective hops.
   sim::Event ev = engine(s, r).submit_p2p(tag, src, dst, out_t_[c]->bytes(),
                                           grid_.device(s + 1, r), grid_.machine(s, r).now(),
-                                          core::TransferPriority::kHigh,
                                           obs::flow_id_p2p(tag, grid_.device(s, r)));
   act_q_[cn].push_back({ev, tag});
   in_flight_.push_back({c, tag});
@@ -283,7 +282,6 @@ void HybridParallelTrainer::send_gradient(int s, int r) {
   float* dst = device_ptr(s - 1, r, out_grad_t_[cp]);
   sim::Event ev = engine(s, r).submit_p2p(tag, src, dst, in_grad_t_[c]->bytes(),
                                           grid_.device(s - 1, r), grid_.machine(s, r).now(),
-                                          core::TransferPriority::kHigh,
                                           obs::flow_id_p2p(tag, grid_.device(s, r)));
   grad_q_[cp].push_back({ev, tag});
   in_flight_.push_back({c, tag});

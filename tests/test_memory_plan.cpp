@@ -22,20 +22,16 @@ namespace {
 using namespace sn;
 using core::MemoryPlan;
 
-/// The plan the Runtime builds for `net` under the SuperNeurons policy
-/// (offload + async transfers, so prefetch lists exist) at `lookahead`.
-MemoryPlan plan_for(const graph::Net& net, int lookahead) {
-  core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
+/// The plan the Runtime builds for `net` under `preset` (by default the
+/// SuperNeurons policy: offload + async transfers, so prefetch lists exist)
+/// at `lookahead`.
+MemoryPlan plan_for(const graph::Net& net, int lookahead,
+                    core::PolicyPreset preset = core::PolicyPreset::kSuperNeurons) {
+  core::RuntimeOptions o = core::make_policy(preset);
   o.prefetch_lookahead = lookahead;
   core::Liveness lv(net, o.recompute != core::RecomputeMode::kNone);
   core::RecomputePlan rp(net, o.recompute);
   return MemoryPlan(net, lv, rp, o);
-}
-
-std::vector<tensor::Tensor*> staged(const MemoryPlan& mp, int step) {
-  std::vector<tensor::Tensor*> out;
-  for (const MemoryPlan::Prefetch& p : mp.prefetches(step)) out.push_back(p.tensor);
-  return out;
 }
 
 /// First backward step executed by a checkpoint layer (where the runtime
@@ -74,7 +70,7 @@ TEST(MemoryPlan, PrefetchesMatchScanOrderThroughNextCheckpoint) {
   int step = first_checkpoint_backward_step(*net);
   ASSERT_GE(step, 0);
   const MemoryPlan mp = plan_for(*net, /*lookahead=*/1);
-  EXPECT_EQ(staged(mp, step), naive_plan(*net, step, 1));
+  EXPECT_EQ(mp.prefetches(step), naive_plan(*net, step, 1));
   EXPECT_FALSE(mp.prefetches(step).empty());
 }
 
@@ -85,7 +81,7 @@ TEST(MemoryPlan, PrefetchesHaveNoDuplicates) {
   for (const auto& st : net->steps()) {
     if (st.index < nfwd) continue;
     std::unordered_set<uint64_t> seen;
-    for (tensor::Tensor* t : staged(mp, st.index)) {
+    for (tensor::Tensor* t : mp.prefetches(st.index)) {
       EXPECT_TRUE(seen.insert(t->uid()).second) << t->name();
     }
   }
@@ -95,8 +91,8 @@ TEST(MemoryPlan, DeeperLookaheadExtendsThePrefetchesAsAPrefix) {
   auto net = graph::build_mini_alexnet(4);
   int step = first_checkpoint_backward_step(*net);
   ASSERT_GE(step, 0);
-  auto p1 = staged(plan_for(*net, 1), step);
-  auto p3 = staged(plan_for(*net, 3), step);
+  auto p1 = plan_for(*net, 1).prefetches(step);
+  auto p3 = plan_for(*net, 3).prefetches(step);
   // Same scan, later stop: the shallow list is a prefix of the deep one
   // (until the route runs out of checkpoints).
   ASSERT_GE(p3.size(), p1.size());
@@ -120,7 +116,7 @@ TEST(MemoryPlan, LookaheadStopsAtCheckpointBoundaries) {
   for (size_t s = static_cast<size_t>(step) + 1; s <= boundary && s < steps.size(); ++s) {
     for (tensor::Tensor* u : steps[s].layer->backward_uses()) in_span.insert(u->uid());
   }
-  for (tensor::Tensor* t : staged(mp, step)) {
+  for (tensor::Tensor* t : mp.prefetches(step)) {
     EXPECT_TRUE(in_span.count(t->uid())) << t->name() << " staged outside the lookahead span";
   }
 }
@@ -139,33 +135,12 @@ TEST(MemoryPlan, ZeroOrNegativeLookaheadDisablesPrefetching) {
   }
 }
 
-TEST(MemoryPlan, SpanAnnotationsFollowTheScan) {
+TEST(MemoryPlan, DeepLookaheadListFollowsTheScan) {
   auto net = graph::build_mini_alexnet(4);
   int step = first_checkpoint_backward_step(*net);
   ASSERT_GE(step, 0);
   const MemoryPlan mp = plan_for(*net, 3);
-  EXPECT_EQ(staged(mp, step), naive_plan(*net, step, 3));
-  // Span distances are non-decreasing in scan order, start at 0 and stay
-  // below the lookahead.
-  const auto& spans = mp.prefetches(step);
-  ASSERT_FALSE(spans.empty());
-  EXPECT_EQ(spans.front().span, 0);
-  for (size_t i = 1; i < spans.size(); ++i) EXPECT_GE(spans[i].span, spans[i - 1].span) << i;
-  for (const auto& e : spans) EXPECT_LT(e.span, 3) << e.tensor->name();
-}
-
-TEST(MemoryPlan, SpanZeroIsExactlyTheLookaheadOneList) {
-  auto net = graph::build_mini_alexnet(4);
-  int step = first_checkpoint_backward_step(*net);
-  ASSERT_GE(step, 0);
-  const MemoryPlan deep = plan_for(*net, 4);
-  std::vector<tensor::Tensor*> span0;
-  for (const auto& e : deep.prefetches(step)) {
-    if (e.span == 0) span0.push_back(e.tensor);
-  }
-  // The nearest span of a deep list is the paper's policy (lookahead 1):
-  // that's what the runtime escalates to high priority under pressure.
-  EXPECT_EQ(span0, staged(plan_for(*net, 1), step));
+  EXPECT_EQ(mp.prefetches(step), naive_plan(*net, step, 3));
 }
 
 TEST(MemoryPlan, PrefetchesAtLastStepAreEmpty) {
@@ -229,17 +204,20 @@ TEST(MemoryPlanReplay, PendingExternalTensorsAreNotStaged) {
       if (r.kind == MemoryPlan::Action::kOffload) offloaded.insert(r.tensor->uid());
     }
   }
-  // An offloaded tensor first listed at step s from a span past the next
-  // checkpoint: step s+1 does not read it, so the H2D submissions between
-  // step s's and step s+1's telemetry include its stage exactly when the
-  // replay staged it.
+  // An offloaded tensor first listed at step s but absent from step s's
+  // lookahead-1 list (a span past the next checkpoint): step s+1 does not
+  // read it, so the H2D submissions between step s's and step s+1's
+  // telemetry include its stage exactly when the replay staged it.
+  const MemoryPlan near = plan_for(*net, 1, core::PolicyPreset::kTfLike);
   int step = -1;
   const tensor::Tensor* remote = nullptr;
   for (const auto& st : net->steps()) {
-    for (const auto& p : mp.prefetches(st.index)) {
-      const bool first = listed.insert(p.tensor->uid()).second;
-      if (!remote && first && p.span >= 1 && offloaded.count(p.tensor->uid())) {
-        remote = p.tensor;
+    const auto& next_span = near.prefetches(st.index);
+    for (tensor::Tensor* t : mp.prefetches(st.index)) {
+      const bool first = listed.insert(t->uid()).second;
+      if (!remote && first && offloaded.count(t->uid()) &&
+          std::find(next_span.begin(), next_span.end(), t) == next_span.end()) {
+        remote = t;
         step = st.index;
       }
     }

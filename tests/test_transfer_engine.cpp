@@ -1,7 +1,6 @@
 // TransferEngine unit tests: tag-based submit/poll/wait semantics on both
-// backends, virtual-time gating, per-direction DMA workers, stream
-// priorities and landing bookkeeping, P2P stream isolation, and backend
-// selection.
+// backends, virtual-time gating, per-direction DMA workers, FIFO order on
+// every stream kind, P2P stream isolation, and backend selection.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,7 +16,6 @@ using namespace sn;
 using core::DmaTransferEngine;
 using core::TransferDir;
 using core::TransferEngine;
-using core::TransferPriority;
 
 std::vector<float> pattern(size_t n, float base) {
   std::vector<float> v(n);
@@ -153,9 +151,7 @@ TEST(DmaTransferEngine, ScheduleIsBitIdenticalToTheSynchronousEngine) {
   auto drive = [](TransferEngine& eng, sim::Machine& m, std::vector<double>& events) {
     for (uint64_t tag = 0; tag < 6; ++tag) {
       TransferDir dir = tag % 2 ? TransferDir::kH2D : TransferDir::kD2H;
-      // Mixed priorities must not perturb virtual time either.
-      TransferPriority prio = tag % 3 ? TransferPriority::kNormal : TransferPriority::kHigh;
-      sim::Event e = eng.submit(dir, tag, nullptr, nullptr, (tag + 1) << 20, prio);
+      sim::Event e = eng.submit(dir, tag, nullptr, nullptr, (tag + 1) << 20);
       events.push_back(e.done_at);
       m.run_compute(1e-4);
       eng.try_retire(dir, tag);
@@ -240,26 +236,6 @@ TEST(DmaTransferEngine, P2PRunsOnPerLinkWorkersIsolatedFromPcieStreams) {
   EXPECT_EQ(s.completed_p2p, 2u);
 }
 
-TEST(DmaTransferEngine, HighPriorityOvertakesQueuedNormalJobs) {
-  sim::Machine m(sim::k40c_spec());
-  DmaTransferEngine eng(m, true);
-  const size_t n = 1024;
-  auto normal_src = pattern(n, 1.0f);
-  auto urgent_src = pattern(n, 500.0f);
-  std::vector<float> dst(n, 0.0f);
-  // Freeze the H2D worker so both jobs are queued before anything runs, then
-  // release: the high-priority job must run first, so the normal job's bytes
-  // land last and win.
-  eng.pause_workers_for_testing(true);
-  eng.submit(TransferDir::kH2D, 1, normal_src.data(), dst.data(), n * sizeof(float),
-             TransferPriority::kNormal);
-  eng.submit(TransferDir::kH2D, 2, urgent_src.data(), dst.data(), n * sizeof(float),
-             TransferPriority::kHigh);
-  eng.pause_workers_for_testing(false);
-  eng.drain();
-  EXPECT_EQ(dst, normal_src) << "normal-priority job should have run AFTER the high one";
-}
-
 TEST(DmaTransferEngine, RaggedLargeCopyLandsByteExact) {
   // 1 MiB plus a ragged tail of 13 floats, copied by the H2D worker.
   sim::Machine m(sim::k40c_spec());
@@ -274,22 +250,36 @@ TEST(DmaTransferEngine, RaggedLargeCopyLandsByteExact) {
 }
 
 TEST(DmaTransferEngine, FifoOrderAcrossManyJobsOnOneStream) {
-  sim::Machine m(sim::k40c_spec());
-  DmaTransferEngine eng(m, true);
-  // Chain: job k copies buf[k] -> buf[k+1]. Same-priority jobs on one stream
-  // run FIFO (and a job only starts once its predecessor fully drained), so
-  // after waiting the last job the first pattern has propagated to the end.
+  // Chain: job k copies buf[k] -> buf[k+1]. Jobs on one stream run FIFO (and
+  // a job only starts once its predecessor fully drained), so after waiting
+  // the last job the first pattern has propagated to the end. Checked on
+  // each stream kind: the two PCIe directions and a P2P link worker.
   constexpr int kJobs = 16;
-  std::vector<std::vector<float>> bufs(kJobs + 1, std::vector<float>(256, 0.0f));
-  bufs[0] = pattern(256, 42.0f);
-  for (int k = 0; k < kJobs; ++k) {
-    eng.submit(TransferDir::kD2H, static_cast<uint64_t>(k), bufs[k].data(), bufs[k + 1].data(),
-               256 * sizeof(float));
+  for (TransferDir dir : {TransferDir::kD2H, TransferDir::kH2D, TransferDir::kP2P}) {
+    SCOPED_TRACE(static_cast<int>(dir));
+    sim::Cluster cluster(sim::pcie_cluster_spec(2));
+    DmaTransferEngine eng(cluster.machine(0), true);
+    std::vector<std::vector<float>> bufs(kJobs + 1, std::vector<float>(256, 0.0f));
+    bufs[0] = pattern(256, 42.0f);
+    for (int k = 0; k < kJobs; ++k) {
+      const auto tag = static_cast<uint64_t>(k);
+      if (dir == TransferDir::kP2P) {
+        eng.submit_p2p(tag, bufs[k].data(), bufs[k + 1].data(), 256 * sizeof(float),
+                       /*peer=*/1, /*not_before=*/0.0);
+      } else {
+        eng.submit(dir, tag, bufs[k].data(), bufs[k + 1].data(), 256 * sizeof(float));
+      }
+    }
+    eng.wait(dir, kJobs - 1);
+    EXPECT_EQ(bufs[kJobs], bufs[0]);
+    eng.drain();
+    const auto s = eng.stats();
+    EXPECT_EQ(s.dma_copies, static_cast<uint64_t>(kJobs));
+    const uint64_t on_stream = dir == TransferDir::kD2H   ? s.dma_copies_d2h
+                               : dir == TransferDir::kH2D ? s.dma_copies_h2d
+                                                          : s.dma_copies_p2p;
+    EXPECT_EQ(on_stream, static_cast<uint64_t>(kJobs));
   }
-  eng.wait(TransferDir::kD2H, kJobs - 1);
-  EXPECT_EQ(bufs[kJobs], bufs[0]);
-  eng.drain();
-  EXPECT_EQ(eng.stats().dma_copies, static_cast<uint64_t>(kJobs));
 }
 
 TEST(DmaTransferEngine, P2PRaggedLargeCopyLandsByteExact) {
@@ -305,29 +295,6 @@ TEST(DmaTransferEngine, P2PRaggedLargeCopyLandsByteExact) {
   auto s = eng.stats();
   EXPECT_EQ(s.dma_copies_p2p, 1u);
   EXPECT_EQ(s.dma_copies, 1u);  // PCIe workers idle
-}
-
-TEST(DmaTransferEngine, P2PHighPriorityLandsOutOfSubmitOrder) {
-  // Mirror of the PCIe priority test on a link worker: freeze, queue a
-  // normal then a high job to the same destination, release — the high job
-  // runs first, so the normal job's bytes land last and win. The landing
-  // bookkeeping (landed_floor + out-of-order set) must absorb the
-  // reordering and still retire both.
-  sim::Cluster cluster(sim::pcie_cluster_spec(2));
-  DmaTransferEngine eng(cluster.machine(0), true);
-  const size_t n = 1024;
-  auto normal_src = pattern(n, 1.0f);
-  auto urgent_src = pattern(n, 500.0f);
-  std::vector<float> dst(n, 0.0f);
-  eng.pause_workers_for_testing(true);
-  eng.submit_p2p(1, normal_src.data(), dst.data(), n * sizeof(float), /*peer=*/1, 0.0,
-                 TransferPriority::kNormal);
-  eng.submit_p2p(2, urgent_src.data(), dst.data(), n * sizeof(float), /*peer=*/1, 0.0,
-                 TransferPriority::kHigh);
-  eng.pause_workers_for_testing(false);
-  eng.drain();
-  EXPECT_EQ(dst, normal_src) << "normal-priority job should have run AFTER the high one";
-  EXPECT_EQ(eng.stats().completed_p2p, 2u);
 }
 
 TEST(DmaTransferEngine, P2PCopiesIsolatedAcrossLinks) {
