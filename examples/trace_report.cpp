@@ -11,7 +11,6 @@
 //         [--iters N] [--pool-gb G] [--peer-staging]
 //         [--trace out.json] [--metrics out.json]
 //         [--profile-out prof.json] [--profile-in prof.json]
-//         [--prom out.prom]
 //
 // --pool-gb caps the device pool (default: the cluster preset's capacity)
 // and --peer-staging enables the peer-memory staging tier, so the audit can
@@ -30,8 +29,7 @@
 // occupancy); --profile-in loads one back, re-cuts the net with observed
 // costs replacing the analytic roofline, prints analytic-vs-profile cuts
 // with both evaluated under OBSERVED stage seconds, and runs the traced
-// schedule on the profile-guided cuts. --prom dumps the Prometheus text
-// exposition.
+// schedule on the profile-guided cuts.
 //
 // The AUDIT additionally fails when any device's span ring evicted spans
 // (TraceRecorder::dropped() > 0): attribution over a truncated ring would
@@ -164,7 +162,7 @@ int main(int argc, char** argv) {
   int stages = 2, replicas = 2, microbatches = 4, batch = 32, iters = 2, pool_gb = 0;
   bool peer_staging = false;
   std::string sched_arg = "1f1b";
-  std::string trace_path, metrics_path, profile_out, profile_in, prom_path;
+  std::string trace_path, metrics_path, profile_out, profile_in;
   for (int i = 1; i < argc; ++i) {
     auto next_int = [&](int* out, uint64_t min) {
       if (i + 1 >= argc) {
@@ -202,8 +200,6 @@ int main(int argc, char** argv) {
       profile_out = argv[++i];
     } else if (std::strcmp(argv[i], "--profile-in") == 0 && i + 1 < argc) {
       profile_in = argv[++i];
-    } else if (std::strcmp(argv[i], "--prom") == 0 && i + 1 < argc) {
-      prom_path = argv[++i];
     } else if (argv[i][0] != '-') {
       name = argv[i];
     } else {
@@ -333,20 +329,6 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote metrics %s\n", metrics_path.c_str());
   }
-  if (!prom_path.empty()) {
-    obs::MetricsRegistry m;
-    an.fill_metrics(m);
-    const std::string prom = m.to_prometheus();
-    std::FILE* f = std::fopen(prom_path.c_str(), "w");
-    if (!f || std::fwrite(prom.data(), 1, prom.size(), f) != prom.size()) {
-      std::fprintf(stderr, "failed to write %s\n", prom_path.c_str());
-      if (f) std::fclose(f);
-      return 1;
-    }
-    std::fclose(f);
-    std::printf("wrote prometheus exposition %s\n", prom_path.c_str());
-  }
-
   std::printf("%s\n", ok ? "AUDIT OK" : "AUDIT FAILED");
   return ok ? 0 : 1;
 }

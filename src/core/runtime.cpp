@@ -50,26 +50,10 @@ Runtime::Runtime(graph::Net& net, RuntimeOptions opts)
 // materialization (policy over the pool's state machine)
 
 void Runtime::materialize(tensor::Tensor* t) {
-  // A prefetch may be in flight for this tensor: its device buffer exists
-  // but the data lands only when the event completes. Peer fetch-backs leave
-  // the tensor kPeer while in flight, so land those first too.
-  if (pool_->prefetch_pending(t->uid())) pool_->finish_prefetch(t);
-  if (pool_->peer_fetch_pending(t->uid())) pool_->finish_peer_fetch(t);
-  if (t->on_device()) {
-    if (opts_.tensor_cache && !liveness_.is_persistent(t->uid())) {
-      pool_->cache().touch(t->uid());
-      pool_->cache().count_hit();
-    }
-    return;
-  }
-  if (t->on_host()) {
-    pool_->fetch_from_host(t);
-    return;
-  }
-  if (t->residency == tensor::Residency::kPeer) {
-    pool_->fetch_from_peer(t);
-    return;
-  }
+  // The pool lands an in-flight stage-in, counts a cache hit or fetches an
+  // off-device copy back, wherever it lives. What it cannot fetch, only
+  // recomputation restores.
+  if (pool_->fetch(t)) return;
   if (t->residency == tensor::Residency::kDropped) {
     graph::Layer* prod = producer_of(t);
     int seg = plan_.segment_of(prod);
@@ -129,37 +113,28 @@ void Runtime::replay_forward(graph::Layer* layer) {
 }
 
 void Runtime::ensure_def(tensor::Tensor* t) {
-  // A definition target may have a prefetch in flight (a partially
+  // A definition target may have a stage-in in flight (a partially
   // accumulated gradient staged back for this step): the kernel must not
   // write the buffer while the DMA engine is still filling it.
-  if (pool_->prefetch_pending(t->uid())) pool_->finish_prefetch(t);
-  if (pool_->peer_fetch_pending(t->uid())) pool_->finish_peer_fetch(t);
-  if (!t->on_device()) {
-    if (t->on_host()) {
-      // Definitions can be read-modify-write (gradient accumulation across
-      // fan-out consumers): an evicted partial result must round-trip back,
-      // not be re-allocated blank. Falls through to the first-def zeroing
-      // check below, which is a no-op within the same iteration.
-      pool_->fetch_from_host(t);
-    } else if (t->residency == tensor::Residency::kPeer) {
-      // Same round-trip contract for a partial result staged in a peer pool.
-      pool_->fetch_from_peer(t);
-    } else {
-      // Aliased definitions consume no new device memory (simulation-only
-      // accounting of framework-specific reuse): Torch-style in-place
-      // activations, and Caffe/Torch reuse of forward tensors as backward
-      // data buffers (§2.2).
-      graph::Layer* prod = producer_of(t);
-      bool alias_act = opts_.inplace_act && prod && prod->type() == graph::LayerType::kAct &&
-                       t->kind() == tensor::TensorKind::kData;
-      bool alias_grad = opts_.reuse_grad_buffers && t->kind() == tensor::TensorKind::kGrad;
-      if (!opts_.real && (alias_act || alias_grad)) {
-        pool_->adopt_alias(t);
-        return;
-      }
-      pool_->alloc_device(t);
-      t->residency = tensor::Residency::kDevice;
+  pool_->land(t);
+  // Definitions can be read-modify-write (gradient accumulation across
+  // fan-out consumers): an evicted partial result must round-trip back, not
+  // be re-allocated blank. Falls through to the first-def zeroing check
+  // below, which is a no-op within the same iteration.
+  if (!t->on_device() && !pool_->fetch(t)) {
+    // Aliased definitions consume no new device memory (simulation-only
+    // accounting of framework-specific reuse): Torch-style in-place
+    // activations, and Caffe/Torch reuse of forward tensors as backward
+    // data buffers (§2.2).
+    graph::Layer* prod = producer_of(t);
+    bool alias_act = opts_.inplace_act && prod && prod->type() == graph::LayerType::kAct &&
+                     t->kind() == tensor::TensorKind::kData;
+    bool alias_grad = opts_.reuse_grad_buffers && t->kind() == tensor::TensorKind::kGrad;
+    if (!opts_.real && (alias_act || alias_grad)) {
+      pool_->adopt_alias(t);
+      return;
     }
+    pool_->alloc_device(t);
   }
   // The kernel writes this def: a host copy fetched (or prefetched) back —
   // e.g. a partially accumulated gradient — is stale from here on, and
@@ -310,9 +285,8 @@ void Runtime::exec_step(const graph::Step& step, const float* input, const int32
   tele.d2h_completed = xfer.completed_d2h;
   tele.h2d_completed = xfer.completed_h2d;
   tele.dma_copies = xfer.dma_copies;
-  tele.d2h_in_flight = pool_->engine().pending_count(TransferDir::kD2H);
-  tele.h2d_in_flight = pool_->engine().pending_count(TransferDir::kH2D);
-  tele.transfers_in_flight = tele.d2h_in_flight + tele.h2d_in_flight;
+  tele.transfers_in_flight = pool_->engine().pending_count(TransferDir::kD2H) +
+                             pool_->engine().pending_count(TransferDir::kH2D);
   tele.d2h_busy_seconds = machine_.counters().seconds_d2h;
   tele.h2d_busy_seconds = machine_.counters().seconds_h2d;
   tele.p2p_busy_seconds = machine_.counters().seconds_p2p;
@@ -337,11 +311,7 @@ void Runtime::post_step(const graph::Step& step) {
     tensor::Tensor* t = r.tensor;
     switch (r.kind) {
       case MemoryPlan::Action::kFree:
-        if (t->locked()) break;
-        pool_->free_peer(t);  // before free_device: discards any in-flight fetch-back
-        pool_->free_device(t);
-        pool_->free_host(t);
-        t->residency = tensor::Residency::kNone;
+        if (!t->locked()) pool_->free_tensor(t);
         break;
       case MemoryPlan::Action::kDrop:
         if (t->on_device() && !t->locked()) pool_->drop_tensor(t);
@@ -355,19 +325,11 @@ void Runtime::post_step(const graph::Step& step) {
   }
   pool_->poll_offloads(step.index);
 
-  // Stage every host- or peer-resident dependency that fits without
-  // eviction; the first that does not fit ends staging for this step.
+  // Stage back every off-device dependency that fits without eviction; the
+  // first that does not fit ends staging for this step.
   for (tensor::Tensor* u : memory_plan_.prefetches(step.index)) {
     if (external_pending_.count(u->uid())) continue;  // bytes still on a peer
-    if (u->residency == tensor::Residency::kPeer) {
-      // Peer-staged dependency: stage it back over the P2P link, off the
-      // host uplink entirely.
-      if (pool_->peer_fetch_pending(u->uid())) continue;
-      if (!pool_->prefetch_from_peer(u)) break;
-      continue;
-    }
-    if (u->residency != tensor::Residency::kHost || pool_->prefetch_pending(u->uid())) continue;
-    if (!pool_->prefetch(u)) break;
+    if (!pool_->fetch_ahead(u)) break;
   }
 
   note_peak();
@@ -381,7 +343,6 @@ void Runtime::initialize() {
   for (const auto& l : net_.layers()) {
     auto init_param = [&](tensor::Tensor* t, bool weight) {
       pool_->alloc_device(t);
-      t->residency = tensor::Residency::kDevice;
       t->lock();  // parameters are never eviction candidates
       if (!opts_.real) return;
       float* p = device_ptr(t);
@@ -415,7 +376,6 @@ void Runtime::initialize() {
     }
     for (tensor::Tensor* g : l->param_grads()) {
       pool_->alloc_device(g);
-      g->residency = tensor::Residency::kDevice;
       g->lock();
       if (opts_.real) {
         if (float* p = device_ptr(g)) std::memset(p, 0, g->bytes());
@@ -483,14 +443,18 @@ IterationStats Runtime::end_span(const StatSpan& s) {
   return st;
 }
 
+void Runtime::run_steps(size_t first, size_t last, const float* input, const int32_t* labels) {
+  const auto& steps = net_.steps();
+  for (size_t i = first; i < last; ++i) {
+    exec_step(steps[i], input, labels, &iter_loss_);
+    post_step(steps[i]);
+  }
+}
+
 IterationStats Runtime::train_iteration(const float* input, const int32_t* labels) {
   begin_iteration();
   const StatSpan span = begin_span();
-
-  for (const auto& step : net_.steps()) {
-    exec_step(step, input, labels, &iter_loss_);
-    post_step(step);
-  }
+  run_steps(0, net_.steps().size(), input, labels);
 
   // Drain outstanding DMA so the next iteration starts clean.
   pool_->drain();
@@ -503,12 +467,7 @@ IterationStats Runtime::train_iteration(const float* input, const int32_t* label
 IterationStats Runtime::forward_pass(const float* input, const int32_t* labels) {
   begin_iteration();
   const StatSpan span = begin_span();
-  const int nfwd = static_cast<int>(net_.route().size());
-  for (const auto& step : net_.steps()) {
-    if (step.index >= nfwd) break;
-    exec_step(step, input, labels, &iter_loss_);
-    post_step(step);
-  }
+  run_steps(0, net_.route().size(), input, labels);
   return end_span(span);
 }
 
@@ -518,21 +477,13 @@ IterationStats Runtime::backward_pass(const int32_t* labels) {
   // per-microbatch results pairwise (util/pairwise.hpp) so M microbatches
   // reproduce the full-batch reduction tree bit for bit.
   zeroed_grads_.clear();
-  const int nfwd = static_cast<int>(net_.route().size());
-  for (const auto& step : net_.steps()) {
-    if (step.index < nfwd) continue;
-    exec_step(step, nullptr, labels, &iter_loss_);
-    post_step(step);
-  }
+  run_steps(net_.route().size(), net_.steps().size(), nullptr, labels);
   pool_->drain();
   return end_span(span);
 }
 
 void Runtime::pin_external(tensor::Tensor* t) {
-  if (!t->on_device()) {
-    pool_->alloc_device(t);
-    t->residency = tensor::Residency::kDevice;
-  }
+  if (!t->on_device()) pool_->alloc_device(t);
   t->lock();
 }
 

@@ -14,13 +14,17 @@
 //                             step (§3.5)
 //
 // The Runtime is the *orchestrator*: it walks the route, materializes each
-// step's tensors (cache hit, prefetch wait, on-demand fetch or recompute
-// replay) and, after the step, replays that step's frees, drops, offloads
-// and prefetches from the MemoryPlan built at construction. Mechanisms live
-// in layered subsystems —
+// step's tensors (the pool's fetch() or a recompute replay) and, after the
+// step, replays that step's frees, drops, offloads and prefetches from the
+// MemoryPlan built at construction. It never names a placement tier: the
+// pool's land / fetch / fetch_ahead / free_tensor / drop_tensor calls work
+// alike for a host or a peer copy, and the Runtime's only residency test is
+// the kDropped branch that starts recompute. Mechanisms live in layered
+// subsystems —
 //   MemoryPlan         (core/memory_plan.hpp)     per-step memory actions,
 //                      fixed by the route and the options before training
-//   UnifiedTensorPool  (core/tensor_pool.hpp)     the memory-state machine
+//   UnifiedTensorPool  (core/tensor_pool.hpp)     the memory-state machine,
+//                      the only code that picks host vs peer
 //   TransferEngine     (core/transfer_engine.hpp) submit/poll/wait DMA, with
 //                      a sim virtual-time backend and a real DMA-thread one
 //
@@ -135,8 +139,8 @@ class Runtime {
  private:
   float* device_ptr(const tensor::Tensor* t) { return pool_->device_ptr(t); }
 
-  /// Make `t` usable on device right now (cache-hit / prefetch-wait /
-  /// on-demand fetch / recomputation).
+  /// Make `t` usable on device right now (the pool's fetch, else
+  /// recomputation).
   void materialize(tensor::Tensor* t);
 
   /// Replay `layer`'s forward pass to regenerate its outputs (recompute).
@@ -149,6 +153,8 @@ class Runtime {
   void exec_step(const graph::Step& step, const float* input, const int32_t* labels,
                  double* loss_out);
   void post_step(const graph::Step& step);
+  /// exec_step + post_step over steps [first, last) of the 2N-step route.
+  void run_steps(size_t first, size_t last, const float* input, const int32_t* labels);
   void run_layer_pass(graph::Layer* layer, bool forward, const float* input,
                       const int32_t* labels, double* loss_out, StepTelemetry* tele);
   void charge_layer_time(const graph::Layer* layer, bool forward, nn::ConvAlgo algo);

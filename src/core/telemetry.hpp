@@ -54,8 +54,6 @@ struct StepTelemetry {
   uint64_t h2d_completed = 0;        ///< cumulative retired prefetches/fetches
   uint64_t dma_copies = 0;           ///< cumulative memcpys done on DMA worker threads
   uint64_t transfers_in_flight = 0;  ///< pending transfers at step end (both directions)
-  uint64_t d2h_in_flight = 0;        ///< pending offloads at step end
-  uint64_t h2d_in_flight = 0;        ///< pending prefetches/fetches at step end
   // Per-stream DMA-engine occupancy (cumulative virtual seconds each copy
   // engine spent busy): the raw material of the paper's overlap claim —
   // compute_time vs these says how much transfer the schedule hid.

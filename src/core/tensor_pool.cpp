@@ -38,6 +38,11 @@ float* UnifiedTensorPool::device_ptr(const tensor::Tensor* t) {
 }
 
 void UnifiedTensorPool::alloc_device(tensor::Tensor* t) {
+  allocate(t);
+  t->residency = tensor::Residency::kDevice;
+}
+
+void UnifiedTensorPool::allocate(tensor::Tensor* t) {
   ++alloc_count_;
   auto h = allocator_->allocate(t->bytes());
   // Guests staged here by other members are reclaimed before this pool
@@ -145,41 +150,86 @@ void UnifiedTensorPool::release_offloaded(tensor::Tensor* t) {
   t->residency = tensor::Residency::kHost;
 }
 
-void UnifiedTensorPool::drop_tensor(tensor::Tensor* t) {
-  free_peer(t);
+void UnifiedTensorPool::release(tensor::Tensor* t, tensor::Residency final_residency) {
+  if (group_) {
+    auto it = peer_fetches_.find(t->uid());
+    if (it != peer_fetches_.end()) {
+      // An in-flight fetch-back is writing t's device buffer: block until
+      // the DMA worker lets go, then throw the result away (the tensor is
+      // dying). This precedes free_device, which reclaims that buffer.
+      UnifiedTensorPool* peer = group_->member_pool(it->second.peer);
+      peer->engine().discard(TransferDir::kP2P, it->second.tag);
+      group_->mark_fetch_pending(this, t->uid(), false);
+      peer_fetches_.erase(it);
+    }
+    if (t->residency == tensor::Residency::kPeer) {
+      UnifiedTensorPool* peer = group_->member_pool(t->peer_device);
+      group_->unregister_guest(this, t->uid());
+      peer->release_guest(t->peer_handle);
+      t->peer_device = -1;
+      t->peer_handle = 0;
+    }
+  }
   free_device(t);
-  free_host(t);
-  t->residency = tensor::Residency::kDropped;
-}
-
-void UnifiedTensorPool::free_host(tensor::Tensor* t) {
   if (t->host_handle) {
     host_pool_.deallocate(t->host_handle);
     t->host_handle = 0;
   }
+  t->residency = final_residency;
 }
 
 void UnifiedTensorPool::submit_host_fetch(tensor::Tensor* t) {
-  alloc_device(t);
+  allocate(t);
   t->residency = tensor::Residency::kBoth;
   engine_->submit(TransferDir::kH2D, t->uid(), host_pool_.ptr(t->host_handle), device_ptr(t),
                   t->bytes());
 }
 
-void UnifiedTensorPool::fetch_from_host(tensor::Tensor* t) {
-  submit_host_fetch(t);
-  finish_prefetch(t);
-  if (cfg_.tensor_cache) cache_.count_miss();
+void UnifiedTensorPool::land(tensor::Tensor* t) {
+  // A host prefetch leaves the tensor kBoth with its H2D copy in flight; a
+  // peer fetch-back leaves it kPeer until land_peer_fetch retires it.
+  if (engine_->pending(TransferDir::kH2D, t->uid())) engine_->wait(TransferDir::kH2D, t->uid());
+  land_peer_fetch(t);
 }
 
-bool UnifiedTensorPool::prefetch(tensor::Tensor* t) {
-  if (allocator_->largest_free() < t->bytes()) return false;  // no room: never evict for a prefetch
-  submit_host_fetch(t);
+bool UnifiedTensorPool::fetch(tensor::Tensor* t) {
+  land(t);
+  if (t->on_device()) {
+    if (cfg_.tensor_cache && !hooks_.persistent(t->uid())) {
+      cache_.touch(t->uid());
+      cache_.count_hit();
+    }
+    return true;
+  }
+  // On-demand: the same submit fetch_ahead uses (evicting for room), landed
+  // at once because the consumer needs the bytes now.
+  if (t->on_host()) {
+    submit_host_fetch(t);
+    engine_->wait(TransferDir::kH2D, t->uid());
+  } else if (t->residency == tensor::Residency::kPeer) {
+    submit_peer_fetch(t);
+    land_peer_fetch(t);
+  } else {
+    return false;
+  }
+  if (cfg_.tensor_cache) cache_.count_miss();
   return true;
 }
 
-void UnifiedTensorPool::finish_prefetch(tensor::Tensor* t) {
-  engine_->wait(TransferDir::kH2D, t->uid());
+bool UnifiedTensorPool::fetch_ahead(tensor::Tensor* t) {
+  // A host stage-in leaves the tensor kBoth and a peer one leaves it
+  // registered in peer_fetches_, so neither is submitted twice.
+  const bool from_host = t->residency == tensor::Residency::kHost;
+  const bool from_peer =
+      t->residency == tensor::Residency::kPeer && peer_fetches_.count(t->uid()) == 0;
+  if (!from_host && !from_peer) return true;
+  if (allocator_->largest_free() < t->bytes()) return false;  // never evict to stage back
+  if (from_host) {
+    submit_host_fetch(t);
+  } else {
+    submit_peer_fetch(t);
+  }
+  return true;
 }
 
 void UnifiedTensorPool::mark_dirty(tensor::Tensor* t) {
@@ -238,7 +288,7 @@ void UnifiedTensorPool::submit_peer_fetch(tensor::Tensor* t) {
   assert(peer && "staged copy's host left the group");
   const uint64_t handle = t->peer_handle;
   const double staged_at = group_->guest_staged_at(this, t->uid());
-  alloc_device(t);
+  allocate(t);
   // Submitted on the PEER's engine (sender side of the link); this pool's
   // machine gates on the arrival event, so the peer's clock is untouched —
   // same contract as a pipeline receive.
@@ -253,19 +303,7 @@ void UnifiedTensorPool::submit_peer_fetch(tensor::Tensor* t) {
   peer_fetches_[t->uid()] = PendingPeerFetch{t->peer_device, tag, e, flow};
 }
 
-void UnifiedTensorPool::fetch_from_peer(tensor::Tensor* t) {
-  submit_peer_fetch(t);
-  finish_peer_fetch(t);
-  if (cfg_.tensor_cache) cache_.count_miss();
-}
-
-bool UnifiedTensorPool::prefetch_from_peer(tensor::Tensor* t) {
-  if (allocator_->largest_free() < t->bytes()) return false;  // never evict to stage back
-  submit_peer_fetch(t);
-  return true;
-}
-
-void UnifiedTensorPool::finish_peer_fetch(tensor::Tensor* t) {
+void UnifiedTensorPool::land_peer_fetch(tensor::Tensor* t) {
   auto it = peer_fetches_.find(t->uid());
   if (it == peer_fetches_.end()) return;
   const PendingPeerFetch pf = it->second;
@@ -283,27 +321,6 @@ void UnifiedTensorPool::finish_peer_fetch(tensor::Tensor* t) {
   t->peer_handle = 0;
   ++peer_fetch_count_;
   peer_fetches_.erase(it);
-}
-
-void UnifiedTensorPool::free_peer(tensor::Tensor* t) {
-  if (!group_) return;
-  auto it = peer_fetches_.find(t->uid());
-  if (it != peer_fetches_.end()) {
-    // An in-flight fetch-back is writing t's device buffer: block until the
-    // DMA worker lets go, then throw the result away (the tensor is dying).
-    UnifiedTensorPool* peer = group_->member_pool(it->second.peer);
-    peer->engine().discard(TransferDir::kP2P, it->second.tag);
-    group_->mark_fetch_pending(this, t->uid(), false);
-    peer_fetches_.erase(it);
-  }
-  if (t->residency == tensor::Residency::kPeer) {
-    UnifiedTensorPool* peer = group_->member_pool(t->peer_device);
-    group_->unregister_guest(this, t->uid());
-    peer->release_guest(t->peer_handle);
-    t->peer_device = -1;
-    t->peer_handle = 0;
-    // The caller owns the final residency (kNone / kDropped).
-  }
 }
 
 uint64_t UnifiedTensorPool::accept_guest(uint64_t bytes) {
@@ -359,7 +376,7 @@ void UnifiedTensorPool::drain() {
   }
   // Land outstanding fetch-backs (ordered map: reproducible wait order).
   while (!peer_fetches_.empty()) {
-    finish_peer_fetch(by_uid(peer_fetches_.begin()->first));
+    land_peer_fetch(by_uid(peer_fetches_.begin()->first));
   }
 }
 

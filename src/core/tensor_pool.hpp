@@ -6,10 +6,15 @@
 //
 //     kNone ──alloc──> kDevice ──offload──> kBoth ──release──> kHost
 //       ^                 │ ^                                     │ ^
-//       └────free─────────┤ └────────────fetch/prefetch───────────┘ │
+//       └─free_tensor─────┤ └─────────fetch/fetch_ahead───────────┘ │
 //                         ├──drop──> kDropped   (recompute restores)│
 //                         └──stage──> kPeer ──(host spills guest)───┘
-//                                       └──fetch-back──> kDevice
+//                                       └──fetch/fetch_ahead──> kDevice
+//
+// Both ways back to the device, from kHost and from kPeer, go through the
+// same calls — land(), fetch(), fetch_ahead() — and one release path,
+// free_tensor() / drop_tensor(), frees every copy wherever it lives. The
+// pool picks the tier; its callers never name one.
 //
 // The kPeer tier (peer-memory staging) is active only when a
 // PeerStagingGroup is attached: eviction may then route a dirty tensor into
@@ -77,12 +82,10 @@ class UnifiedTensorPool {
   /// Backing pointer in real mode (nullptr otherwise / when not resident).
   float* device_ptr(const tensor::Tensor* t);
 
-  /// Allocate device memory, evicting LRU victims under pressure (Alg. 2
-  /// LRU.out). Throws OomError when nothing more can be reclaimed.
+  /// Allocate device memory for `t` and mark it kDevice, evicting LRU
+  /// victims under pressure (Alg. 2 LRU.out). Throws OomError when nothing
+  /// more can be reclaimed.
   void alloc_device(tensor::Tensor* t);
-
-  /// Release the device copy (waits out any in-flight transfer first).
-  void free_device(tensor::Tensor* t);
 
   /// Evict one tensor: drop it if recompute can restore it; else stage it in
   /// a peer pool when the staging router says the P2P link beats the D2H
@@ -97,23 +100,33 @@ class UnifiedTensorPool {
   /// Drop the device copy of a clean (kBoth) tensor, keeping the host copy.
   void release_offloaded(tensor::Tensor* t);
 
-  /// Free both copies; only recomputation can restore the tensor.
-  void drop_tensor(tensor::Tensor* t);
+  // --- the way back to the device -------------------------------------------
+  // An off-device tensor comes back from the host pool (kHost) or from a
+  // peer's pool (kPeer); these calls pick the tier, so callers never do.
 
-  /// Free the host copy (if any) — liveness end-of-life path.
-  void free_host(tensor::Tensor* t);
+  /// Land any in-flight stage-in of `t` (host prefetch or peer fetch-back);
+  /// afterwards its residency is final. No-op when none is pending.
+  void land(tensor::Tensor* t);
 
-  /// On-demand H2D: the prefetch's submit (evicting for room if needed),
-  /// then finish_prefetch() — the consumer needs the bytes now.
-  void fetch_from_host(tensor::Tensor* t);
+  /// A kernel is about to read `t`: land any stage-in; a device-resident
+  /// tensor counts a Tensor Cache hit, and an off-device copy is fetched now
+  /// (evicting for room if needed) and counts a miss. Returns false, moving
+  /// nothing, when `t` has no copy anywhere (kNone / kDropped).
+  bool fetch(tensor::Tensor* t);
 
-  /// Asynchronous H2D stage of a host-resident tensor. Returns false (and
-  /// does nothing) when the free device memory cannot fit it — prefetching
-  /// must never trigger eviction (§3.3.1).
-  bool prefetch(tensor::Tensor* t);
+  /// Start staging an off-device `t` back asynchronously; land() or fetch()
+  /// retires it. Returns false — and moves nothing — only when the free
+  /// device memory cannot fit it: staging back must never trigger eviction
+  /// (§3.3.1). A tensor on the device, already staging or with no copy is
+  /// left alone. A peer fetch-back rides the PEER's engine (this pool's
+  /// machine stalls on the arrival) and the tensor stays kPeer until landed.
+  bool fetch_ahead(tensor::Tensor* t);
 
-  /// Wait for an in-flight prefetch of `t` (no-op when none is pending).
-  void finish_prefetch(tensor::Tensor* t);
+  /// Release every copy of `t` (device, host, a staged peer copy and any
+  /// in-flight fetch-back): liveness end of life, leaving kNone...
+  void free_tensor(tensor::Tensor* t) { release(t, tensor::Residency::kNone); }
+  /// ...or a recompute drop, leaving kDropped.
+  void drop_tensor(tensor::Tensor* t) { release(t, tensor::Residency::kDropped); }
 
   /// A kernel is about to write `t`: any host copy is stale. Keeps the host
   /// allocation (a future offload reuses the buffer) but drops the "clean"
@@ -133,9 +146,6 @@ class UnifiedTensorPool {
   bool offload_pending(uint64_t uid) const {
     return engine_->pending(TransferDir::kD2H, uid);
   }
-  bool prefetch_pending(uint64_t uid) const {
-    return engine_->pending(TransferDir::kH2D, uid);
-  }
 
   // --- peer-memory staging (active only with a PeerStagingGroup attached) ---
 
@@ -145,27 +155,6 @@ class UnifiedTensorPool {
   /// no group is attached, no peer beats the host ETA, or the tensor has an
   /// offload already in flight (the host path owns that case).
   bool stage_to_peer(tensor::Tensor* t);
-
-  /// On-demand fetch-back of a kPeer tensor: prefetch_from_peer()'s submit
-  /// (evicting for room if needed), then finish_peer_fetch().
-  void fetch_from_peer(tensor::Tensor* t);
-
-  /// Asynchronous fetch-back: allocate device memory and pull the bytes over
-  /// the peer link (submitted on the PEER's engine; this pool's machine
-  /// stalls on the arrival). Refuses — returns false — when the free device
-  /// memory cannot fit it: staging back must never trigger eviction, exactly
-  /// like prefetch(). The tensor stays kPeer until finish_peer_fetch()
-  /// retires the landing and releases the guest slot.
-  bool prefetch_from_peer(tensor::Tensor* t);
-
-  /// Wait out an in-flight peer fetch of `t` (no-op when none is pending).
-  void finish_peer_fetch(tensor::Tensor* t);
-
-  bool peer_fetch_pending(uint64_t uid) const { return peer_fetches_.count(uid) != 0; }
-
-  /// Release `t`'s staged peer copy (and discard any in-flight fetch-back) —
-  /// the liveness end-of-life path, symmetric with free_device/free_host.
-  void free_peer(tensor::Tensor* t);
 
   // Guest side (host-pool role; called by the PeerStagingGroup / owner pool).
 
@@ -231,12 +220,22 @@ class UnifiedTensorPool {
  private:
   tensor::Tensor* by_uid(uint64_t uid) { return registry_.get(uid); }
 
-  /// Allocate `t` on the device and submit its H2D copy (prefetch and
-  /// on-demand fetch alike; the caller owns the room check).
+  /// Allocation with eviction (Alg. 2 LRU.out); leaves the residency to
+  /// the caller.
+  void allocate(tensor::Tensor* t);
+  /// Release the device copy (waits out any in-flight transfer first).
+  void free_device(tensor::Tensor* t);
+  /// Free every copy of `t` and set its final residency.
+  void release(tensor::Tensor* t, tensor::Residency final_residency);
+
+  /// Allocate `t` on the device and submit its H2D copy (fetch_ahead and
+  /// fetch alike; the caller owns the room check).
   void submit_host_fetch(tensor::Tensor* t);
   /// Allocate `t` on the device and submit its fetch-back on the peer's
-  /// engine, registered in peer_fetches_ until finish_peer_fetch().
+  /// engine, registered in peer_fetches_ until land_peer_fetch().
   void submit_peer_fetch(tensor::Tensor* t);
+  /// Wait out an in-flight peer fetch of `t` (no-op when none is pending).
+  void land_peer_fetch(tensor::Tensor* t);
 
   tensor::TensorRegistry& registry_;
   sim::Machine& machine_;

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/json_writer.hpp"
 
@@ -53,55 +52,6 @@ void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-}
-
-std::string MetricsRegistry::prometheus_name(const std::string& name) {
-  std::string out = "sn_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-namespace {
-
-std::string prom_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::to_prometheus() const {
-  std::string out;
-  for (const auto& [name, v] : counters_) {
-    const std::string p = prometheus_name(name);
-    out += "# TYPE " + p + " counter\n";
-    out += p + " " + std::to_string(v) + "\n";
-  }
-  for (const auto& [name, v] : gauges_) {
-    const std::string p = prometheus_name(name);
-    out += "# TYPE " + p + " gauge\n";
-    out += p + " " + prom_double(v) + "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string p = prometheus_name(name);
-    out += "# TYPE " + p + " histogram\n";
-    uint64_t cum = 0;
-    for (size_t i = 0; i < h.bounds.size(); ++i) {
-      cum += h.counts[i];
-      out += p + "_bucket{le=\"" + prom_double(h.bounds[i]) + "\"} " + std::to_string(cum) +
-             "\n";
-    }
-    cum += h.counts.empty() ? 0 : h.counts.back();
-    out += p + "_bucket{le=\"+Inf\"} " + std::to_string(cum) + "\n";
-    out += p + "_sum " + prom_double(h.sum) + "\n";
-    out += p + "_count " + std::to_string(h.total) + "\n";
-  }
-  return out;
 }
 
 void MetricsRegistry::write_json(util::JsonWriter& w) const {

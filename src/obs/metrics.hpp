@@ -45,18 +45,6 @@ class MetricsRegistry {
   /// already positioned the writer (after a key() or at top level).
   void write_json(util::JsonWriter& w) const;
 
-  /// Prometheus text exposition (format 0.0.4): `# TYPE` line per metric,
-  /// names prefixed "sn_" with non-[a-zA-Z0-9_] bytes mapped to '_', and
-  /// histograms rendered as CUMULATIVE `_bucket{le="..."}` series plus
-  /// `_sum`/`_count` (the exposition contract; the JSON export keeps raw
-  /// per-bucket counts). Deterministic: same sorted-map iteration as
-  /// write_json. trace_report --prom FILE writes it.
-  std::string to_prometheus() const;
-
-  /// The exposition name for a registry key ("spans.compute" ->
-  /// "sn_spans_compute"); exposed for tests and dashboards.
-  static std::string prometheus_name(const std::string& name);
-
  private:
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, double> gauges_;

@@ -29,6 +29,7 @@ namespace {
 using namespace sn;
 using core::PeerStagingGroup;
 using core::TransferDir;
+using core::TransferStats;
 using core::UnifiedTensorPool;
 using tensor::Residency;
 
@@ -64,7 +65,6 @@ tensor::Tensor* make_filled(tensor::TensorRegistry& reg, UnifiedTensorPool& pool
                             const char* name, int hw) {
   tensor::Tensor* t = reg.create(name, tensor::Shape{1, 1, hw, hw}, tensor::TensorKind::kGrad);
   pool.alloc_device(t);
-  t->residency = Residency::kDevice;
   if (float* p = pool.device_ptr(t)) {
     for (int64_t i = 0; i < t->shape().elems(); ++i) p[i] = 0.25f * static_cast<float>(i % 997);
   }
@@ -96,7 +96,7 @@ TEST(PeerStaging, StageAndFetchRoundTripPreservesBytes) {
   EXPECT_EQ(rig.b.live_count(), 0u) << "guests are invisible to the host's tensor bookkeeping";
   EXPECT_GT(rig.cluster.link_busy_seconds(0, 1), 0.0);
 
-  rig.a.fetch_from_peer(t);
+  ASSERT_TRUE(rig.a.fetch(t));
   EXPECT_EQ(t->residency, Residency::kDevice);
   EXPECT_EQ(t->peer_device, -1);
   EXPECT_EQ(t->peer_handle, 0u);
@@ -132,8 +132,7 @@ TEST(PeerStaging, RoutingSkipsPeersUnderRecentPressure) {
   // Squeeze B until it evicts: a pool that just fought for its own memory
   // must not accept guests.
   Rig rig(true, false, /*budget=*/64ull << 20, /*cap_a=*/8ull << 20, /*cap_b=*/100 << 10);
-  tensor::Tensor* b1 = make_filled(rig.reg_b, rig.b, "b1", 128);
-  b1->residency = Residency::kDevice;
+  make_filled(rig.reg_b, rig.b, "b1", 128);
   make_filled(rig.reg_b, rig.b, "b2", 128);  // 64 KB each: evicts b1
   ASSERT_GT(rig.b.evictions(), 0u);
   ASSERT_TRUE(rig.b.under_pressure_now());
@@ -145,8 +144,7 @@ TEST(PeerStaging, RoutingSkipsPeersUnderRecentPressure) {
 
 TEST(PeerStaging, WindowedPressureDecaysWithAllocationTraffic) {
   Rig rig(true, false, /*budget=*/0, /*cap_a=*/100 << 10);
-  tensor::Tensor* t1 = make_filled(rig.reg_a, rig.a, "t1", 128);
-  t1->residency = Residency::kDevice;
+  make_filled(rig.reg_a, rig.a, "t1", 128);
   make_filled(rig.reg_a, rig.a, "t2", 128);  // 64 KB each: evicts t1
   ASSERT_GT(rig.a.evictions(), 0u);
   EXPECT_TRUE(rig.a.under_pressure_now());
@@ -157,9 +155,7 @@ TEST(PeerStaging, WindowedPressureDecaysWithAllocationTraffic) {
                                        tensor::TensorKind::kGrad);
   for (uint64_t i = 0; i <= UnifiedTensorPool::kPressureWindowAllocs; ++i) {
     rig.a.alloc_device(s);
-    s->residency = Residency::kDevice;
-    rig.a.free_device(s);
-    s->residency = Residency::kNone;
+    rig.a.free_tensor(s);
   }
   EXPECT_FALSE(rig.a.under_pressure_now());
 
@@ -185,7 +181,7 @@ TEST(PeerStaging, HostSpillDegradesGuestToPlainHostResidency) {
   EXPECT_FALSE(rig.group.spill_one_guest(rig.b)) << "nothing left to spill";
 
   // The ordinary host fetch path takes over, bytes intact.
-  rig.a.fetch_from_host(t);
+  ASSERT_TRUE(rig.a.fetch(t));
   EXPECT_EQ(read_device(rig.a, t), before);
 }
 
@@ -200,37 +196,87 @@ TEST(PeerStaging, GuestSpillTriggersUnderHostAllocationPressure) {
   make_filled(rig.reg_b, rig.b, "own", 512);  // 1 MB: only fits if the guest spills
   EXPECT_EQ(t->residency, Residency::kHost);
   EXPECT_EQ(rig.a.peer_spill_count(), 1u);
-  rig.a.fetch_from_host(t);
+  ASSERT_TRUE(rig.a.fetch(t));
   EXPECT_EQ(read_device(rig.a, t), before);
 }
 
 TEST(PeerStaging, AsyncFetchBackLandsOnTheDmaThreadAndSpillSkipsIt) {
-  // Real + async: the fetch-back rides the peer's P2P DMA worker while the
-  // tensor stays kPeer; a concurrent spill pass must leave it alone.
+  // Real + async: the same calls bring a tensor back from either tier. A
+  // host stage-in rides A's H2D DMA worker; a peer fetch-back rides B's P2P
+  // worker while the tensor stays kPeer, and a concurrent spill pass must
+  // leave it alone.
   Rig rig(true, /*async=*/true, /*budget=*/4ull << 20);
-  tensor::Tensor* t = make_filled(rig.reg_a, rig.a, "act", 128);
-  const std::vector<float> before = read_device(rig.a, t);
-  ASSERT_TRUE(rig.a.stage_to_peer(t));
+  for (const Residency tier : {Residency::kHost, Residency::kPeer}) {
+    const bool host = tier == Residency::kHost;
+    SCOPED_TRACE(host ? "host tier" : "peer tier");
+    tensor::Tensor* t = make_filled(rig.reg_a, rig.a, host ? "act_h" : "act_p", 128);
+    const std::vector<float> before = read_device(rig.a, t);
+    auto send_off = [&] {
+      if (host) {
+        rig.a.offload_to_host(t, /*async=*/false);
+      } else {
+        ASSERT_TRUE(rig.a.stage_to_peer(t));
+      }
+      ASSERT_EQ(t->residency, tier);
+    };
+    auto nothing_pending = [&] {
+      for (UnifiedTensorPool* p : {&rig.a, &rig.b}) {
+        for (TransferDir d : {TransferDir::kD2H, TransferDir::kH2D, TransferDir::kP2P}) {
+          EXPECT_EQ(p->engine().pending_count(d), 0u);
+        }
+      }
+    };
 
-  ASSERT_TRUE(rig.a.prefetch_from_peer(t));
-  EXPECT_TRUE(rig.a.peer_fetch_pending(t->uid()));
-  EXPECT_EQ(t->residency, Residency::kPeer) << "kPeer until the landing retires";
-  EXPECT_FALSE(rig.group.spill_one_guest(rig.b)) << "fetch-pending guests are not spillable";
+    // Ahead-of-use stage-in, then its landing.
+    send_off();
+    ASSERT_TRUE(rig.a.fetch_ahead(t));
+    const TransferStats staged_a = rig.a.engine().stats();
+    const TransferStats staged_b = rig.b.engine().stats();
+    EXPECT_TRUE(rig.a.fetch_ahead(t)) << "a second stage-in of the same tensor is a no-op";
+    EXPECT_EQ(rig.a.engine().stats().submitted_h2d, staged_a.submitted_h2d);
+    EXPECT_EQ(rig.b.engine().stats().submitted_p2p, staged_b.submitted_p2p);
+    if (host) {
+      EXPECT_EQ(rig.a.engine().pending_count(TransferDir::kH2D), 1u);
+    } else {
+      EXPECT_EQ(rig.b.engine().pending_count(TransferDir::kP2P), 1u);
+      EXPECT_EQ(t->residency, Residency::kPeer) << "kPeer until the landing retires";
+      EXPECT_FALSE(rig.group.spill_one_guest(rig.b)) << "fetch-pending guests are not spillable";
+    }
+    rig.a.land(t);
+    EXPECT_TRUE(t->on_device());
+    EXPECT_EQ(read_device(rig.a, t), before);
+    EXPECT_EQ(rig.group.guest_count(), 0u);
+    nothing_pending();
 
-  rig.a.finish_peer_fetch(t);
-  EXPECT_EQ(t->residency, Residency::kDevice);
-  EXPECT_FALSE(rig.a.peer_fetch_pending(t->uid()));
-  EXPECT_EQ(read_device(rig.a, t), before);
-  EXPECT_EQ(rig.group.guest_count(), 0u);
+    // A device-resident read is a cache hit and moves nothing.
+    const uint64_t hits = rig.a.cache().hits();
+    ASSERT_TRUE(rig.a.fetch(t));
+    EXPECT_EQ(rig.a.cache().hits(), hits + 1);
 
-  // Dying mid-flight: drop_tensor discards an in-flight fetch-back cleanly.
-  tensor::Tensor* u = make_filled(rig.reg_a, rig.a, "dying", 64);
-  ASSERT_TRUE(rig.a.stage_to_peer(u));
-  ASSERT_TRUE(rig.a.prefetch_from_peer(u));
-  rig.a.drop_tensor(u);
-  EXPECT_EQ(u->residency, Residency::kDropped);
-  EXPECT_EQ(rig.group.guest_count(), 0u);
-  EXPECT_EQ(rig.group.donated_in_use(1), 0u);
+    // On-demand fetch: the consumer needs the bytes now.
+    send_off();
+    const uint64_t misses = rig.a.cache().misses();
+    ASSERT_TRUE(rig.a.fetch(t));
+    EXPECT_TRUE(t->on_device());
+    EXPECT_EQ(rig.a.cache().misses(), misses + 1);
+    EXPECT_EQ(read_device(rig.a, t), before);
+    nothing_pending();
+
+    // Dying mid-flight: drop_tensor discards an in-flight stage-in cleanly
+    // and releases every copy.
+    send_off();
+    ASSERT_TRUE(rig.a.fetch_ahead(t));
+    rig.a.drop_tensor(t);
+    EXPECT_EQ(t->residency, Residency::kDropped);
+    EXPECT_FALSE(t->gpu_handle.has_value());
+    EXPECT_EQ(t->host_handle, 0u);
+    EXPECT_EQ(rig.group.guest_count(), 0u);
+    EXPECT_EQ(rig.group.donated_in_use(1), 0u);
+    EXPECT_FALSE(rig.a.fetch(t)) << "a dropped tensor has no copy to fetch";
+    nothing_pending();
+  }
+  EXPECT_EQ(rig.a.host_pool().in_use(), 0u);
+  EXPECT_EQ(rig.a.live_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

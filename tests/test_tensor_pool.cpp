@@ -257,13 +257,12 @@ TEST(TensorPool, MarkDirtyInvalidatesTheCleanStateButKeepsTheHostBuffer) {
   tensor::Tensor* t = reg.create("grad", tensor::Shape{1, 1, 8, 8}, tensor::TensorKind::kGrad);
 
   pool.alloc_device(t);
-  t->residency = tensor::Residency::kDevice;
   pool.offload_to_host(t, /*async=*/false);
   ASSERT_EQ(t->residency, tensor::Residency::kHost);
   const uint64_t host_handle = t->host_handle;
   ASSERT_NE(host_handle, 0u);
 
-  pool.fetch_from_host(t);
+  ASSERT_TRUE(pool.fetch(t));
   ASSERT_EQ(t->residency, tensor::Residency::kBoth);
 
   pool.mark_dirty(t);

@@ -353,34 +353,6 @@ TEST(Metrics, AnalyzerFillsCountersGaugesAndHistogram) {
   EXPECT_EQ(h->total, m.counter("spans.stall"));
 }
 
-TEST(Metrics, PrometheusExpositionIsPinned) {
-  // The scrape surface (ISSUE 10): sn_ prefix, '.'->'_' sanitization, # TYPE
-  // lines, and CUMULATIVE histogram buckets with the +Inf overflow row.
-  EXPECT_EQ(obs::MetricsRegistry::prometheus_name("spans.compute"), "sn_spans_compute");
-  EXPECT_EQ(obs::MetricsRegistry::prometheus_name("attr.bubble-s"), "sn_attr_bubble_s");
-
-  obs::MetricsRegistry m;
-  m.counter_add("spans.compute", 3);
-  m.gauge_set("attr.bubble_seconds", 0.25);
-  m.histogram_observe("stall_duration_seconds", {1e-3, 1e-2}, 5e-4);  // bucket 0
-  m.histogram_observe("stall_duration_seconds", {1e-3, 1e-2}, 5e-4);  // bucket 0
-  m.histogram_observe("stall_duration_seconds", {1e-3, 1e-2}, 5e-3);  // bucket 1
-  m.histogram_observe("stall_duration_seconds", {1e-3, 1e-2}, 0.5);   // overflow
-  const std::string text = m.to_prometheus();
-  EXPECT_NE(text.find("# TYPE sn_spans_compute counter\nsn_spans_compute 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE sn_attr_bubble_seconds gauge\nsn_attr_bubble_seconds 0.25\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE sn_stall_duration_seconds histogram\n"), std::string::npos);
-  // Cumulative: 2 at le=1e-3, 3 at le=1e-2, all 4 at +Inf.
-  EXPECT_NE(text.find("sn_stall_duration_seconds_bucket{le=\"0.001\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("sn_stall_duration_seconds_bucket{le=\"0.01\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("sn_stall_duration_seconds_bucket{le=\"+Inf\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("sn_stall_duration_seconds_count 4\n"), std::string::npos);
-  // Deterministic: a second render is byte-identical.
-  EXPECT_EQ(m.to_prometheus(), text);
-}
-
 // --- DMA-worker wall chunks (TSan target) ------------------------------------
 
 TEST(Trace, DmaWorkersRecordWallChunksConcurrently) {
