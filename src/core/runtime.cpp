@@ -109,7 +109,6 @@ void Runtime::replay_forward(graph::Layer* layer) {
 
   lock(uses, false);
   lock(defs, false);
-  note_peak();
 }
 
 void Runtime::ensure_def(tensor::Tensor* t) {
@@ -208,7 +207,6 @@ void Runtime::run_layer_pass(graph::Layer* layer, bool forward, const float* inp
     tele->ws_max_speed = choice.best_workspace_bytes;
   }
 
-  note_peak();
   if (forward) {
     layer->forward(ctx);
   } else {
@@ -227,11 +225,6 @@ void Runtime::lock(const std::vector<tensor::Tensor*>& ts, bool locked) {
       t->unlock();
     }
   }
-}
-
-void Runtime::note_peak() {
-  uint64_t u = pool_->allocator().in_use();
-  if (u > iter_peak_) iter_peak_ = u;
 }
 
 void Runtime::exec_step(const graph::Step& step, const float* input, const int32_t* labels,
@@ -331,8 +324,6 @@ void Runtime::post_step(const graph::Step& step) {
     if (external_pending_.count(u->uid())) continue;  // bytes still on a peer
     if (!pool_->fetch_ahead(u)) break;
   }
-
-  note_peak();
 }
 
 // --------------------------------------------------------------------------
@@ -389,7 +380,6 @@ void Runtime::begin_iteration() {
   if (!initialized_) initialize();
   telemetry_.clear();
   zeroed_grads_.clear();
-  iter_peak_ = pool_->allocator().in_use();
   extra_forwards_ = 0;
   loss_sum_ = 0.0;
   iter_loss_ = 0.0;
@@ -421,7 +411,7 @@ IterationStats Runtime::end_span(const StatSpan& s) {
   st.loss = iter_loss_;
   st.loss_sum = loss_sum_;
   st.seconds = machine_.now() - s.t0;
-  st.peak_mem = iter_peak_;
+  st.peak_mem = pool_->allocator().peak_in_use();
   st.bytes_d2h = c1.bytes_d2h - s.c0.bytes_d2h;
   st.bytes_h2d = c1.bytes_h2d - s.c0.bytes_h2d;
   st.extra_forwards = extra_forwards_ - s.extra0;

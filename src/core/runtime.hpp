@@ -123,7 +123,6 @@ class Runtime {
   const Liveness& liveness() const { return liveness_; }
   const RecomputePlan& recompute_plan() const { return plan_; }
   sim::Machine& machine() { return machine_; }
-  mem::GpuAllocator& allocator() { return pool_->allocator(); }
   UnifiedTensorPool& tensor_pool() { return *pool_; }
   const UnifiedTensorPool& tensor_pool() const { return *pool_; }
   const TransferEngine& transfer_engine() const { return pool_->engine(); }
@@ -160,7 +159,6 @@ class Runtime {
   void charge_layer_time(const graph::Layer* layer, bool forward, nn::ConvAlgo algo);
 
   void lock(const std::vector<tensor::Tensor*>& ts, bool locked);
-  void note_peak();
 
   tensor::Tensor* tensor_by_uid(uint64_t uid) { return net_.registry().get(uid); }
   graph::Layer* producer_of(const tensor::Tensor* t) {
@@ -206,7 +204,6 @@ class Runtime {
   double loss_sum_ = 0.0;                      ///< raw NLL sum this iteration
   double iter_loss_ = 0.0;                     ///< normalized loss (softmax forward)
   uint64_t iter_ = 0;
-  uint64_t iter_peak_ = 0;
   uint64_t extra_forwards_ = 0;
   bool initialized_ = false;
   int sched_phase_ = -1;       ///< schedule-phase stamp for step telemetry

@@ -74,7 +74,7 @@ struct IterationStats {
   /// single-device run bit for bit; means cannot be recombined exactly.
   double loss_sum = 0.0;
   double seconds = 0.0;         ///< virtual wall time of the iteration
-  uint64_t peak_mem = 0;        ///< max device bytes in use during the iteration
+  uint64_t peak_mem = 0;        ///< device allocator's high-water mark this iteration
   uint64_t bytes_d2h = 0;
   uint64_t bytes_h2d = 0;
   uint64_t extra_forwards = 0;  ///< recomputation replays

@@ -15,14 +15,8 @@ UnifiedTensorPool::UnifiedTensorPool(tensor::TensorRegistry& registry, sim::Mach
       machine_(machine),
       cfg_(cfg),
       hooks_(std::move(hooks)),
+      allocator_(machine, cfg.device_capacity, /*native=*/!cfg.use_pool_allocator, cfg.real),
       host_pool_(cfg.host_capacity, cfg.pinned_host, cfg.real) {
-  if (cfg_.use_pool_allocator) {
-    allocator_ = std::make_unique<mem::PoolAllocator>(machine, cfg_.device_capacity,
-                                                      mem::MemoryPool::kDefaultBlockBytes,
-                                                      cfg_.real);
-  } else {
-    allocator_ = std::make_unique<mem::NativeAllocator>(machine, cfg_.device_capacity, cfg_.real);
-  }
   engine_ = make_transfer_engine(machine, host_pool_.pinned(), cfg_.real, cfg_.async_transfers,
                                  cfg_.device_id);
 }
@@ -34,7 +28,7 @@ UnifiedTensorPool::~UnifiedTensorPool() {
 float* UnifiedTensorPool::device_ptr(const tensor::Tensor* t) {
   if (!cfg_.real) return nullptr;
   if (!t->gpu_handle) return nullptr;
-  return static_cast<float*>(allocator_->ptr(*t->gpu_handle));
+  return static_cast<float*>(allocator_.ptr(*t->gpu_handle));
 }
 
 void UnifiedTensorPool::alloc_device(tensor::Tensor* t) {
@@ -44,13 +38,13 @@ void UnifiedTensorPool::alloc_device(tensor::Tensor* t) {
 
 void UnifiedTensorPool::allocate(tensor::Tensor* t) {
   ++alloc_count_;
-  auto h = allocator_->allocate(t->bytes());
+  auto h = allocator_.allocate(t->bytes());
   // Guests staged here by other members are reclaimed before this pool
   // offloads its own tensors: a spill costs one D2H either way, and the
   // guest was only ever an opportunistic tenant of the free space.
   auto spill_guests = [&] {
     while (!h && group_ && group_->spill_one_guest(*this)) {
-      h = allocator_->allocate(t->bytes());
+      h = allocator_.allocate(t->bytes());
     }
   };
   if (!h && cfg_.tensor_cache) {
@@ -75,13 +69,13 @@ void UnifiedTensorPool::allocate(tensor::Tensor* t) {
         }
         ++evictions_;
         last_eviction_alloc_ = alloc_count_;
-        h = allocator_->allocate(t->bytes());
+        h = allocator_.allocate(t->bytes());
       }
     }
   }
   spill_guests();  // no cache / no victims left: hosted guests are still reclaimable
   if (!h) {
-    throw OomError{t->bytes(), allocator_->largest_free(),
+    throw OomError{t->bytes(), allocator_.largest_free(),
                    "device OOM allocating " + t->name()};
   }
   t->gpu_handle = *h;
@@ -96,7 +90,7 @@ void UnifiedTensorPool::free_device(tensor::Tensor* t) {
   engine_->discard(TransferDir::kD2H, t->uid());
   engine_->discard(TransferDir::kH2D, t->uid());
   if (t->gpu_handle) {
-    allocator_->deallocate(*t->gpu_handle);
+    allocator_.deallocate(*t->gpu_handle);
     t->gpu_handle.reset();
     --live_count_;
   } else if (t->residency == tensor::Residency::kDevice ||
@@ -223,7 +217,7 @@ bool UnifiedTensorPool::fetch_ahead(tensor::Tensor* t) {
   const bool from_peer =
       t->residency == tensor::Residency::kPeer && peer_fetches_.count(t->uid()) == 0;
   if (!from_host && !from_peer) return true;
-  if (allocator_->largest_free() < t->bytes()) return false;  // never evict to stage back
+  if (allocator_.largest_free() < t->bytes()) return false;  // never evict to stage back
   if (from_host) {
     submit_host_fetch(t);
   } else {
@@ -324,7 +318,7 @@ void UnifiedTensorPool::land_peer_fetch(tensor::Tensor* t) {
 }
 
 uint64_t UnifiedTensorPool::accept_guest(uint64_t bytes) {
-  auto h = allocator_->allocate(bytes);  // free space only — guests never evict
+  auto h = allocator_.allocate(bytes);  // free space only — guests never evict
   return h ? *h : 0;
 }
 

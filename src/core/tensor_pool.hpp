@@ -1,8 +1,9 @@
 // Unified Tensor Pool: the per-tensor memory-state machine (paper §3.3.1).
 //
-// Owns the device allocator, the pinned host pool, the LRU Tensor Cache and
-// the TransferEngine, and is the only component that moves a tensor between
-// its placement states:
+// Owns the device allocator (one class; Config::use_pool_allocator picks its
+// charge policy: the pooled heap or the cudaMalloc model), the pinned host
+// pool, the LRU Tensor Cache and the TransferEngine, and is the only
+// component that moves a tensor between its placement states:
 //
 //     kNone ──alloc──> kDevice ──offload──> kBoth ──release──> kHost
 //       ^                 │ ^                                     │ ^
@@ -162,8 +163,8 @@ class UnifiedTensorPool {
   /// never touches the tensor cache (guests are invisible to this pool's LRU
   /// order). Returns 0 when the free space cannot fit it.
   uint64_t accept_guest(uint64_t bytes);
-  void* guest_ptr(uint64_t handle) { return allocator_->ptr(handle); }
-  void release_guest(uint64_t handle) { allocator_->deallocate(handle); }
+  void* guest_ptr(uint64_t handle) { return allocator_.ptr(handle); }
+  void release_guest(uint64_t handle) { allocator_.deallocate(handle); }
 
   /// Spill the guest holding `owner`'s tensor `uid` (handle `handle`) to the
   /// OWNER's host pool over THIS pool's D2H engine, synchronously; the owner's
@@ -178,8 +179,8 @@ class UnifiedTensorPool {
 
   // --- components & counters ------------------------------------------------
 
-  mem::GpuAllocator& allocator() { return *allocator_; }
-  const mem::GpuAllocator& allocator() const { return *allocator_; }
+  mem::GpuAllocator& allocator() { return allocator_; }
+  const mem::GpuAllocator& allocator() const { return allocator_; }
   mem::HostPool& host_pool() { return host_pool_; }
   const mem::HostPool& host_pool() const { return host_pool_; }
   TensorCache& cache() { return cache_; }
@@ -211,7 +212,10 @@ class UnifiedTensorPool {
   }
   static constexpr uint64_t kPressureWindowAllocs = 32;
 
+  /// Start an iteration's counters: evictions and allocations restart at
+  /// zero and the device high-water mark at the bytes in use now.
   void reset_iteration_counters() {
+    allocator_.reset_peak();
     evictions_ = 0;
     alloc_count_ = 0;
     last_eviction_alloc_ = 0;
@@ -241,7 +245,7 @@ class UnifiedTensorPool {
   sim::Machine& machine_;
   Config cfg_;
   Hooks hooks_;
-  std::unique_ptr<mem::GpuAllocator> allocator_;
+  mem::GpuAllocator allocator_;
   mem::HostPool host_pool_;
   TensorCache cache_;
   std::unique_ptr<TransferEngine> engine_;  ///< declared after allocator_ and

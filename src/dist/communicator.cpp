@@ -12,7 +12,6 @@ namespace sn::dist {
 
 const char* allreduce_algo_name(AllreduceAlgo a) {
   switch (a) {
-    case AllreduceAlgo::kAuto: return "auto";
     case AllreduceAlgo::kRing: return "ring";
     case AllreduceAlgo::kHalvingDoubling: return "halving-doubling";
   }
@@ -53,24 +52,17 @@ double Communicator::combine_loss_sums(const std::vector<double>& sums) {
   return util::pairwise_sum<double>(sums.size(), [&](uint64_t i) { return sums[i]; });
 }
 
-AllreduceStats Communicator::allreduce_sum(const std::vector<float*>& bufs, uint64_t elems,
-                                           AllreduceAlgo algo) {
+AllreduceStats Communicator::allreduce_sum(const std::vector<float*>& bufs, uint64_t elems) {
   // Issue + immediate await: identical hop chain, identical per-rank
   // wait_event — the same virtual timeline the collective always had.
-  AllreduceHandle h = all_reduce_async(bufs, elems, algo);
+  AllreduceHandle h = all_reduce_async(bufs, elems);
   return await(h);
 }
 
-AllreduceHandle Communicator::all_reduce_async(const std::vector<float*>& bufs, uint64_t elems,
-                                               AllreduceAlgo algo) {
+AllreduceHandle Communicator::all_reduce_async(const std::vector<float*>& bufs, uint64_t elems) {
   const int n = devices();
   assert(static_cast<int>(bufs.size()) == n && "one buffer (or null) per rank");
-  if (algo == AllreduceAlgo::kAuto) {
-    algo = is_pow2(n) ? AllreduceAlgo::kHalvingDoubling : AllreduceAlgo::kRing;
-  }
-  if (algo == AllreduceAlgo::kHalvingDoubling && !is_pow2(n)) {
-    throw std::invalid_argument("allreduce_sum: halving-doubling needs a power-of-two group");
-  }
+  const AllreduceAlgo algo = is_pow2(n) ? AllreduceAlgo::kHalvingDoubling : AllreduceAlgo::kRing;
 
   AllreduceHandle h;
   h.stats.device_seconds.assign(static_cast<size_t>(n), 0.0);

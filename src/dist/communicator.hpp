@@ -23,8 +23,8 @@
 //     never changes training results" invariant to 4+-replica training.
 //     Same per-rank volume as the ring: 2 * (N-1)/N of the buffer.
 //
-// kAuto picks halving-doubling for power-of-two groups and falls back to the
-// ring otherwise. Every hop is a TransferEngine::submit_p2p on the SENDING
+// The group size picks the algorithm: halving-doubling for power-of-two
+// groups, the ring otherwise. Every hop is a TransferEngine::submit_p2p on the SENDING
 // rank's engine, so collectives share the tag-based submit/poll/wait layer
 // (and its telemetry) with offload/prefetch traffic, and virtual time falls
 // out of the link streams: step k+1 chains on step k's arrival through the
@@ -42,9 +42,8 @@
 namespace sn::dist {
 
 enum class AllreduceAlgo {
-  kAuto,             ///< halving-doubling when the group is a power of two, else ring
-  kRing,             ///< chunked ring (any group size; rotated-rank-order rounding)
-  kHalvingDoubling,  ///< pairwise-tree-exact; group size must be a power of two
+  kRing,             ///< chunked ring (groups that are not a power of two)
+  kHalvingDoubling,  ///< pairwise-tree-exact (power-of-two groups)
 };
 
 const char* allreduce_algo_name(AllreduceAlgo a);
@@ -84,9 +83,8 @@ class Communicator {
   /// In-place sum all-reduce: after the call every bufs[r][0..elems) holds
   /// the elementwise sum over ranks. bufs[r] may be null when running
   /// unbacked (simulation) — virtual time and telemetry advance, no bytes
-  /// move. kAuto resolves per the group size (see file comment).
-  AllreduceStats allreduce_sum(const std::vector<float*>& bufs, uint64_t elems,
-                               AllreduceAlgo algo = AllreduceAlgo::kAuto);
+  /// move. The group size picks the algorithm (see file comment).
+  AllreduceStats allreduce_sum(const std::vector<float*>& bufs, uint64_t elems);
 
   /// Issue an all-reduce without blocking any rank's compute stream: the
   /// bytes are summed eagerly (bufs hold the result on return) but virtual
@@ -94,8 +92,7 @@ class Communicator {
   /// communicator chain: each starts no earlier than the previous one's
   /// per-rank ready time, so per-bucket collectives serialize on the group's
   /// links exactly as the one fused collective would.
-  AllreduceHandle all_reduce_async(const std::vector<float*>& bufs, uint64_t elems,
-                                   AllreduceAlgo algo = AllreduceAlgo::kAuto);
+  AllreduceHandle all_reduce_async(const std::vector<float*>& bufs, uint64_t elems);
 
   /// Block every rank's compute stream until `h` completes; fills and
   /// returns the per-rank timing stats. Idempotent per handle.

@@ -554,59 +554,46 @@ HybridParallelReport HybridParallelTrainer::run() {
 
     // --- per-stage update: pairwise microbatch combine, replica all-reduce,
     // SGD. Replica r's M snapshots combine (binary counter, ascending m)
-    // into its shard subtree; the row all-reduce (kAuto: halving-doubling
-    // for power-of-two R) combines the R subtrees in ascending rank order —
+    // into its shard subtree; the row all-reduce (halving-doubling for
+    // power-of-two R) combines the R subtrees in ascending rank order —
     // together exactly the full-batch per-sample pairwise tree when b, M
-    // and R are powers of two (util/pairwise.hpp).
-    std::vector<double> allreduce_max(static_cast<size_t>(S), 0.0);
-    if (cfg_.schedule == SchedulePolicy::k1F1B) {
-      // Buckets were combined and issued inside the op loop; settle the
-      // virtual completions (await) and measure exposure BEFORE any SGD
-      // advances the clocks (stage rows are disjoint machine sets).
+    // and R are powers of two (util/pairwise.hpp). k1F1B issued its buckets
+    // inside the op loop; kGPipe issues each stage's fused all-reduce now.
+    if (cfg_.schedule == SchedulePolicy::kGPipe) {
       for (int s = 0; s < S; ++s) {
-        for (AllreduceHandle& h : ar_handles[static_cast<size_t>(s)]) {
-          AllreduceStats ar = comms_[static_cast<size_t>(s)]->await(h);
-          allreduce_max[static_cast<size_t>(s)] += ar.seconds;
-          for (int r = 0; r < R; ++r) {
-            cell_st[cell(s, r)].allreduce_seconds += ar.device_seconds[static_cast<size_t>(r)];
-          }
-        }
-        for (int r = 0; r < R; ++r) {
-          ar_end_max = std::max(ar_end_max, grid_.machine(s, r).now());
-        }
-      }
-      for (int s = 0; s < S; ++s) {
-        for (int r = 0; r < R; ++r) {
-          const size_t c = cell(s, r);
-          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) scatter_fused_grads(s, r);
-          runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
-          runtimes_[c]->advance_iteration();
-        }
-      }
-    } else {
-      // kGPipe: legacy fully synchronous post-drain update, byte-identical
-      // to the pre-engine trainer (allreduce_sum = issue + immediate await).
-      for (int s = 0; s < S; ++s) {
+        const uint64_t elems = grad_elems_[static_cast<size_t>(s)];
         std::vector<float*> bufs(static_cast<size_t>(R), nullptr);
-        if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
+        if (real_ && elems > 0) {
           for (int r = 0; r < R; ++r) {
             combine_microbatch_grads(s, r);
             bufs[static_cast<size_t>(r)] = fused_[cell(s, r)].data();
           }
         }
-        AllreduceStats ar = comms_[static_cast<size_t>(s)]->allreduce_sum(
-            bufs, grad_elems_[static_cast<size_t>(s)]);
-        allreduce_max[static_cast<size_t>(s)] = ar.seconds;
+        ar_handles[static_cast<size_t>(s)].push_back(
+            comms_[static_cast<size_t>(s)]->all_reduce_async(bufs, elems));
+      }
+    }
+    // Settle the virtual completions (await) and measure exposure BEFORE any
+    // SGD advances the clocks (stage rows are disjoint machine sets).
+    std::vector<double> allreduce_max(static_cast<size_t>(S), 0.0);
+    for (int s = 0; s < S; ++s) {
+      for (AllreduceHandle& h : ar_handles[static_cast<size_t>(s)]) {
+        AllreduceStats ar = comms_[static_cast<size_t>(s)]->await(h);
+        allreduce_max[static_cast<size_t>(s)] += ar.seconds;
         for (int r = 0; r < R; ++r) {
-          ar_end_max = std::max(ar_end_max, grid_.machine(s, r).now());
+          cell_st[cell(s, r)].allreduce_seconds += ar.device_seconds[static_cast<size_t>(r)];
         }
-        for (int r = 0; r < R; ++r) {
-          const size_t c = cell(s, r);
-          cell_st[c].allreduce_seconds = ar.device_seconds[static_cast<size_t>(r)];
-          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) scatter_fused_grads(s, r);
-          runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
-          runtimes_[c]->advance_iteration();
-        }
+      }
+      for (int r = 0; r < R; ++r) {
+        ar_end_max = std::max(ar_end_max, grid_.machine(s, r).now());
+      }
+    }
+    for (int s = 0; s < S; ++s) {
+      for (int r = 0; r < R; ++r) {
+        const size_t c = cell(s, r);
+        if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) scatter_fused_grads(s, r);
+        runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
+        runtimes_[c]->advance_iteration();
       }
     }
     const double allreduce_exposed = std::max(0.0, ar_end_max - drain_end);

@@ -45,8 +45,8 @@
 // the binary-counter pairwise machinery (util/pairwise.hpp) in ascending
 // microbatch order REGARDLESS of backward execution order, so a replica's
 // combined gradient is one contiguous-shard subtree of the full-batch
-// reduction; the per-stage all-reduce (kAuto: recursive halving-doubling
-// for power-of-two R) combines the R subtrees in ascending rank order — the
+// reduction; the per-stage all-reduce (recursive halving-doubling for
+// power-of-two R) combines the R subtrees in ascending rank order — the
 // same binary-counter pairwise tree a single device builds. So S x R x M
 // training is bit-identical (losses AND weights) to single-device training
 // on the combined batch for power-of-two microbatch geometry, under both
@@ -89,8 +89,8 @@ struct HybridParallelConfig {
   /// k1F1B only: a stage's fused gradient splits into ceil(bytes /
   /// bucket_bytes) buckets whose row all-reduces issue asynchronously as
   /// the stage's last microbatch retires, overlapping the remaining drain
-  /// (DDP-style bucketing). kGPipe keeps the legacy post-drain synchronous
-  /// update regardless.
+  /// (DDP-style bucketing). kGPipe issues each stage's one fused
+  /// all-reduce after the drain regardless.
   uint64_t bucket_bytes = 4ull << 20;
   /// Explicit route cut positions (NetPartitioner::partition_at); empty =
   /// cost- and memory-balanced automatic partition.

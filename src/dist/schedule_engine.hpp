@@ -46,8 +46,8 @@
 // stage's last backward — the earliest point the stage's fused gradient is
 // complete. The hybrid trainer binds these to Communicator::
 // all_reduce_async, overlapping each stage row's collective with the
-// stages still draining below it. kGPipe emits none (its trainers keep the
-// legacy post-drain synchronous update).
+// stages still draining below it. kGPipe emits none (its trainers issue one
+// fused all-reduce per stage after the drain).
 #pragma once
 
 #include <stdexcept>
@@ -98,8 +98,8 @@ class ScheduleEngine {
  public:
   /// `buckets` declares how many fused-gradient buckets each stage splits
   /// into (size S, every entry >= 1); empty = no kBucketReady ops. Buckets
-  /// are only emitted under k1F1B — GPipe callers run the legacy
-  /// synchronous update and must see an unchanged op stream.
+  /// are only emitted under k1F1B — GPipe callers all-reduce after the
+  /// drain and must see an unchanged op stream.
   ScheduleEngine(SchedulePolicy policy, int stages, int microbatches,
                  std::vector<int> buckets = {});
 

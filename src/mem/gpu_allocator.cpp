@@ -2,55 +2,29 @@
 
 namespace sn::mem {
 
-NativeAllocator::NativeAllocator(sim::Machine& machine, uint64_t capacity, bool backed)
-    : machine_(machine), pool_(capacity, /*block_bytes=*/256, backed) {}
+GpuAllocator::GpuAllocator(sim::Machine& machine, uint64_t capacity, bool native, bool backed)
+    : machine_(machine),
+      native_(native),
+      pool_(capacity, native ? kNativeBlockBytes : MemoryPool::kDefaultBlockBytes, backed) {}
 
-std::optional<uint64_t> NativeAllocator::allocate(uint64_t bytes) {
-  machine_.native_malloc(bytes);
+std::optional<uint64_t> GpuAllocator::allocate(uint64_t bytes) {
+  if (native_) {
+    machine_.native_malloc(bytes);
+  } else {
+    machine_.run_compute(kPoolOpSeconds);
+  }
   auto a = pool_.allocate(bytes);
   if (!a) return std::nullopt;
-  uint64_t handle = a->id;
-  live_.emplace(handle, *a);
-  return handle;
+  return a->id;
 }
 
-void NativeAllocator::deallocate(uint64_t handle) {
-  machine_.native_free();
-  auto it = live_.find(handle);
-  if (it == live_.end()) return;
-  pool_.deallocate(it->second.id);
-  live_.erase(it);
-}
-
-void* NativeAllocator::ptr(uint64_t handle) {
-  auto it = live_.find(handle);
-  return it == live_.end() ? nullptr : pool_.ptr(it->second.offset);
-}
-
-PoolAllocator::PoolAllocator(sim::Machine& machine, uint64_t capacity, uint64_t block_bytes,
-                             bool backed)
-    : machine_(machine), pool_(capacity, block_bytes, backed) {}
-
-std::optional<uint64_t> PoolAllocator::allocate(uint64_t bytes) {
-  machine_.run_compute(kPoolOpSeconds);
-  auto a = pool_.allocate(bytes);
-  if (!a) return std::nullopt;
-  uint64_t handle = a->id;
-  live_.emplace(handle, *a);
-  return handle;
-}
-
-void PoolAllocator::deallocate(uint64_t handle) {
-  machine_.run_compute(kPoolOpSeconds);
-  auto it = live_.find(handle);
-  if (it == live_.end()) return;
-  pool_.deallocate(it->second.id);
-  live_.erase(it);
-}
-
-void* PoolAllocator::ptr(uint64_t handle) {
-  auto it = live_.find(handle);
-  return it == live_.end() ? nullptr : pool_.ptr(it->second.offset);
+void GpuAllocator::deallocate(uint64_t handle) {
+  if (native_) {
+    machine_.native_free();
+  } else {
+    machine_.run_compute(kPoolOpSeconds);
+  }
+  pool_.deallocate(handle);
 }
 
 }  // namespace sn::mem

@@ -1,10 +1,11 @@
-// Device-memory allocator interface with two implementations:
+// Device-memory allocator: one MemoryPool (the address space, the only
+// handle -> (offset, bytes) map and the byte high-water mark) plus a charge
+// policy that says what each call costs the simulated Machine:
 //
-//   * NativeAllocator — models cudaMalloc/cudaFree: every call synchronizes
-//     the device and costs latency on the simulated Machine's compute stream.
-//   * PoolAllocator — wraps the pre-allocated MemoryPool; alloc/free are
-//     near-free (sub-microsecond bookkeeping), which is the paper's §3.2.1
-//     optimization and the subject of Table 2.
+//   * native — models cudaMalloc/cudaFree: every call synchronizes the
+//     device and costs latency on the compute stream; 256 B blocks.
+//   * pooled — the paper's pre-allocated heap (§3.2.1, Table 2): each call
+//     costs a sub-microsecond bookkeeping charge; 1 KB blocks.
 //
 // Both enforce the device capacity: allocation fails (nullopt) rather than
 // overcommitting, so callers (UTP / Tensor Cache) must evict or recompute.
@@ -12,8 +13,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "mem/mem_pool.hpp"
 #include "sim/machine.hpp"
@@ -22,69 +21,34 @@ namespace sn::mem {
 
 class GpuAllocator {
  public:
-  virtual ~GpuAllocator() = default;
+  /// `native` picks the cudaMalloc charge policy and block size; otherwise
+  /// the pooled one. `backed` gives ptr() real memory.
+  GpuAllocator(sim::Machine& machine, uint64_t capacity, bool native, bool backed = false);
 
   /// Allocate `bytes`; returns an opaque handle or nullopt on OOM.
-  virtual std::optional<uint64_t> allocate(uint64_t bytes) = 0;
-  virtual void deallocate(uint64_t handle) = 0;
+  std::optional<uint64_t> allocate(uint64_t bytes);
+  void deallocate(uint64_t handle);
 
-  virtual uint64_t capacity() const = 0;
-  virtual uint64_t in_use() const = 0;
-  virtual uint64_t peak_in_use() const = 0;
+  uint64_t in_use() const { return pool_.in_use(); }
   /// Largest satisfiable single allocation (capacity-fragmentation aware).
-  virtual uint64_t largest_free() const = 0;
+  uint64_t largest_free() const { return pool_.largest_free(); }
 
-  uint64_t free_bytes() const { return capacity() - in_use(); }
+  /// Most bytes in use since construction or the last reset_peak().
+  uint64_t peak_in_use() const { return pool_.peak_in_use(); }
+  void reset_peak() { pool_.reset_peak(); }
 
   /// Backing pointer for real execution; nullptr when running unbacked.
-  virtual void* ptr(uint64_t handle) = 0;
-};
+  void* ptr(uint64_t handle) { return pool_.ptr(handle); }
 
-/// cudaMalloc/cudaFree model: first-fit over the raw device address space with
-/// per-call device-synchronizing latency charged to the Machine.
-class NativeAllocator final : public GpuAllocator {
- public:
-  NativeAllocator(sim::Machine& machine, uint64_t capacity, bool backed = false);
-
-  std::optional<uint64_t> allocate(uint64_t bytes) override;
-  void deallocate(uint64_t handle) override;
-
-  uint64_t capacity() const override { return pool_.capacity(); }
-  uint64_t in_use() const override { return pool_.in_use(); }
-  uint64_t peak_in_use() const override { return pool_.stats().peak_in_use; }
-  uint64_t largest_free() const override { return pool_.largest_free(); }
-  void* ptr(uint64_t handle) override;
-
- private:
-  sim::Machine& machine_;
-  MemoryPool pool_;  ///< reused purely as an address-space manager
-  std::unordered_map<uint64_t, PoolAllocation> live_;
-};
-
-/// The paper's pre-allocated heap: constant small bookkeeping cost per op.
-class PoolAllocator final : public GpuAllocator {
- public:
-  PoolAllocator(sim::Machine& machine, uint64_t capacity,
-                uint64_t block_bytes = MemoryPool::kDefaultBlockBytes, bool backed = false);
-
-  std::optional<uint64_t> allocate(uint64_t bytes) override;
-  void deallocate(uint64_t handle) override;
-
-  uint64_t capacity() const override { return pool_.capacity(); }
-  uint64_t in_use() const override { return pool_.in_use(); }
-  uint64_t peak_in_use() const override { return pool_.stats().peak_in_use; }
-  uint64_t largest_free() const override { return pool_.largest_free(); }
-  void* ptr(uint64_t handle) override;
-
-  const MemoryPool& pool() const { return pool_; }
-
-  /// Bookkeeping cost per pool op charged to the compute stream.
+  /// Bookkeeping cost per pooled op charged to the compute stream.
   static constexpr double kPoolOpSeconds = 0.5e-6;
+  /// cudaMalloc's allocation granularity in the native model.
+  static constexpr uint64_t kNativeBlockBytes = 256;
 
  private:
   sim::Machine& machine_;
+  bool native_;
   MemoryPool pool_;
-  std::unordered_map<uint64_t, PoolAllocation> live_;
 };
 
 }  // namespace sn::mem

@@ -13,30 +13,30 @@ uint64_t HostPool::allocate(uint64_t bytes) {
     return 0;
   }
   uint64_t id = next_id_++;
-  sizes_.emplace(id, bytes);
+  Allocation& a = live_[id];
+  a.bytes = bytes;
+  if (backed_) a.buffer.resize(bytes);
   in_use_ += bytes;
   if (in_use_ > peak_in_use_) peak_in_use_ = in_use_;
-  if (backed_) buffers_[id].resize(bytes);
   return id;
 }
 
 void HostPool::deallocate(uint64_t handle) {
   ++free_calls_;
-  auto it = sizes_.find(handle);
-  if (it == sizes_.end()) {
+  auto it = live_.find(handle);
+  if (it == live_.end()) {
     SN_ERROR << "HostPool::deallocate: unknown handle " << handle;
     ++bad_frees_;
     assert(false && "double free or bad handle");
     return;
   }
-  in_use_ -= it->second;
-  sizes_.erase(it);
-  buffers_.erase(handle);
+  in_use_ -= it->second.bytes;
+  live_.erase(it);
 }
 
 void* HostPool::ptr(uint64_t handle) {
-  auto it = buffers_.find(handle);
-  return it == buffers_.end() ? nullptr : it->second.data();
+  auto it = live_.find(handle);
+  return it == live_.end() || it->second.buffer.empty() ? nullptr : it->second.buffer.data();
 }
 
 HostPoolStats HostPool::stats() const {

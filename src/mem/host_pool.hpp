@@ -60,8 +60,12 @@ class HostPool {
   uint64_t free_calls_ = 0;
   uint64_t failed_allocs_ = 0;
   uint64_t bad_frees_ = 0;
-  std::unordered_map<uint64_t, uint64_t> sizes_;
-  std::unordered_map<uint64_t, std::vector<std::byte>> buffers_;
+
+  struct Allocation {
+    uint64_t bytes = 0;
+    std::vector<std::byte> buffer;  ///< empty unless backed
+  };
+  std::unordered_map<uint64_t, Allocation> live_;
 };
 
 }  // namespace sn::mem

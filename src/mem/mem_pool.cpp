@@ -101,14 +101,10 @@ PoolStats MemoryPool::stats() const {
   return s;
 }
 
-void* MemoryPool::ptr(uint64_t offset) {
+void* MemoryPool::ptr(uint64_t id) {
   if (slab_.empty()) return nullptr;
-  return slab_.data() + offset;
-}
-
-const void* MemoryPool::ptr(uint64_t offset) const {
-  if (slab_.empty()) return nullptr;
-  return slab_.data() + offset;
+  auto it = allocated_.find(id);
+  return it == allocated_.end() ? nullptr : slab_.data() + it->second.first;
 }
 
 bool MemoryPool::validate() const {

@@ -77,11 +77,15 @@ class MemoryPool {
   uint64_t free_bytes() const { return capacity_ - in_use_; }
   uint64_t largest_free() const;
 
+  /// High-water mark of in_use() since construction or the last reset_peak().
+  uint64_t peak_in_use() const { return peak_in_use_; }
+  void reset_peak() { peak_in_use_ = in_use_; }
+
   PoolStats stats() const;
 
-  /// Real pointer for a backed pool; nullptr when unbacked.
-  void* ptr(uint64_t offset);
-  const void* ptr(uint64_t offset) const;
+  /// Real pointer to live allocation `id` in a backed pool; nullptr when
+  /// unbacked or `id` is not live.
+  void* ptr(uint64_t id);
   bool backed() const { return !slab_.empty(); }
 
   /// Structural invariant check used by tests: nodes tile the chunk exactly,

@@ -42,7 +42,8 @@ std::unique_ptr<dist::Communicator> make_comm(sim::Cluster& cluster,
 }
 
 TEST(Communicator, RingAllreduceMatchesSerialReduction) {
-  const int kDevices = 4;
+  // A group that is not a power of two runs the ring.
+  const int kDevices = 3;
   const uint64_t kElems = 1037;  // deliberately not divisible by the ring
   sim::Cluster cluster(sim::pcie_cluster_spec(kDevices));
   std::vector<std::unique_ptr<core::TransferEngine>> engines;
@@ -56,7 +57,7 @@ TEST(Communicator, RingAllreduceMatchesSerialReduction) {
 
   std::vector<float*> ptrs;
   for (auto& b : bufs) ptrs.push_back(b.data());
-  auto stats = comm->allreduce_sum(ptrs, kElems, dist::AllreduceAlgo::kRing);
+  auto stats = comm->allreduce_sum(ptrs, kElems);
 
   for (uint64_t i = 0; i < kElems; ++i) {
     EXPECT_NEAR(bufs[0][i], reference[i], 1e-4) << "element " << i;
@@ -64,7 +65,8 @@ TEST(Communicator, RingAllreduceMatchesSerialReduction) {
   // Every device finishes with bit-identical bytes.
   for (int d = 1; d < kDevices; ++d) EXPECT_EQ(bufs[0], bufs[static_cast<size_t>(d)]);
   EXPECT_EQ(stats.chunks, static_cast<uint64_t>(kDevices));
-  EXPECT_EQ(stats.algo, dist::AllreduceAlgo::kRing);
+  EXPECT_EQ(stats.algo, dist::AllreduceAlgo::kRing)
+      << kDevices << " devices ran " << dist::allreduce_algo_name(stats.algo);
   EXPECT_GT(stats.seconds, 0.0);
 }
 
@@ -89,7 +91,7 @@ TEST(Communicator, HalvingDoublingMatchesThePairwiseTreeBitForBit) {
 
     std::vector<float*> ptrs;
     for (auto& b : bufs) ptrs.push_back(b.data());
-    auto stats = comm->allreduce_sum(ptrs, kElems);  // kAuto -> halving-doubling
+    auto stats = comm->allreduce_sum(ptrs, kElems);  // power of two -> halving-doubling
 
     EXPECT_EQ(stats.algo, dist::AllreduceAlgo::kHalvingDoubling)
         << devices << " devices ran " << dist::allreduce_algo_name(stats.algo);
@@ -102,18 +104,6 @@ TEST(Communicator, HalvingDoublingMatchesThePairwiseTreeBitForBit) {
     EXPECT_NEAR(static_cast<double>(stats.p2p_bytes),
                 2.0 * (devices - 1.0) / devices * static_cast<double>(total), total * 0.01);
   }
-}
-
-TEST(Communicator, AutoFallsBackToRingOffPowersOfTwo) {
-  sim::Cluster cluster(sim::pcie_cluster_spec(3));
-  std::vector<std::unique_ptr<core::TransferEngine>> engines;
-  auto comm = make_comm(cluster, engines);
-  std::vector<float*> bufs(3, nullptr);
-  auto stats = comm->allreduce_sum(bufs, 1 << 16);
-  EXPECT_EQ(stats.algo, dist::AllreduceAlgo::kRing)
-      << "3 devices ran " << dist::allreduce_algo_name(stats.algo);
-  EXPECT_THROW(comm->allreduce_sum(bufs, 1 << 16, dist::AllreduceAlgo::kHalvingDoubling),
-               std::invalid_argument);
 }
 
 TEST(Communicator, SubGroupRunsOnItsDevicesOnly) {

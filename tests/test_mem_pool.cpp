@@ -1,10 +1,12 @@
 // Tests for the heap-based GPU memory pool (paper §3.2.1): first-fit,
 // 1KB-block rounding, coalescing, fragmentation behaviour, invariants under
-// randomized churn, and the allocator wrappers' latency accounting.
+// randomized churn, and the device allocator's two charge policies (Table 2).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "mem/gpu_allocator.hpp"
 #include "mem/host_pool.hpp"
 #include "mem/mem_pool.hpp"
@@ -90,7 +92,7 @@ TEST(MemoryPool, BackedPoolYieldsWritablePointers) {
   MemoryPool p(16 << 10, 1024, /*backed=*/true);
   auto a = p.allocate(4096);
   ASSERT_TRUE(a);
-  float* f = static_cast<float*>(p.ptr(a->offset));
+  float* f = static_cast<float*>(p.ptr(a->id));
   ASSERT_NE(f, nullptr);
   f[0] = 42.0f;
   EXPECT_EQ(f[0], 42.0f);
@@ -100,7 +102,7 @@ TEST(MemoryPool, UnbackedPoolReturnsNull) {
   MemoryPool p(16 << 10, 1024, false);
   auto a = p.allocate(4096);
   ASSERT_TRUE(a);
-  EXPECT_EQ(p.ptr(a->offset), nullptr);
+  EXPECT_EQ(p.ptr(a->id), nullptr);
 }
 
 // Property sweep: random alloc/free churn preserves structural invariants,
@@ -191,8 +193,8 @@ TEST(MemoryPool, FitPoliciesAgreeOnInUseAccounting) {
 TEST(GpuAllocator, PoolIsFasterThanNative) {
   sn::sim::Machine m1(sn::sim::k40c_spec());
   sn::sim::Machine m2(sn::sim::k40c_spec());
-  NativeAllocator nat(m1, 1 << 20);
-  PoolAllocator pool(m2, 1 << 20);
+  GpuAllocator nat(m1, 1 << 20, /*native=*/true);
+  GpuAllocator pool(m2, 1 << 20, /*native=*/false);
   for (int i = 0; i < 100; ++i) {
     auto a = nat.allocate(4096);
     ASSERT_TRUE(a);
@@ -202,16 +204,90 @@ TEST(GpuAllocator, PoolIsFasterThanNative) {
     pool.deallocate(*b);
   }
   EXPECT_GT(m1.now(), 50.0 * m2.now());  // cudaMalloc model is orders slower
+  EXPECT_EQ(m1.counters().native_mallocs, 100u);
+  EXPECT_EQ(m1.counters().native_frees, 100u);
+  EXPECT_EQ(m2.counters().native_mallocs, 0u);
+  EXPECT_NEAR(m2.now(), 200 * GpuAllocator::kPoolOpSeconds, 1e-12);
 }
 
 TEST(GpuAllocator, CapacityEnforced) {
+  for (bool native : {false, true}) {
+    sn::sim::Machine m(sn::sim::k40c_spec());
+    GpuAllocator a(m, 1 << 20, native);
+    auto h = a.allocate(1 << 20);
+    ASSERT_TRUE(h);
+    EXPECT_FALSE(a.allocate(1024).has_value());
+    a.deallocate(*h);
+    EXPECT_TRUE(a.allocate(1024).has_value());
+  }
+}
+
+TEST(GpuAllocator, BlockSizeFollowsTheChargePolicy) {
   sn::sim::Machine m(sn::sim::k40c_spec());
-  PoolAllocator a(m, 1 << 20);
-  auto h = a.allocate(1 << 20);
-  ASSERT_TRUE(h);
-  EXPECT_FALSE(a.allocate(1024).has_value());
-  a.deallocate(*h);
-  EXPECT_TRUE(a.allocate(1024).has_value());
+  GpuAllocator nat(m, 1 << 20, /*native=*/true);
+  GpuAllocator pool(m, 1 << 20, /*native=*/false);
+  ASSERT_TRUE(nat.allocate(1));
+  ASSERT_TRUE(pool.allocate(1));
+  EXPECT_EQ(nat.in_use(), GpuAllocator::kNativeBlockBytes);
+  EXPECT_EQ(pool.in_use(), MemoryPool::kDefaultBlockBytes);
+}
+
+TEST(GpuAllocator, PtrResolvesLiveHandlesOnly) {
+  sn::sim::Machine m(sn::sim::k40c_spec());
+  GpuAllocator a(m, 8 << 10, /*native=*/false, /*backed=*/true);
+  auto h1 = a.allocate(1024);
+  auto h2 = a.allocate(1024);
+  ASSERT_TRUE(h1 && h2);
+  auto* p1 = static_cast<std::byte*>(a.ptr(*h1));
+  auto* p2 = static_cast<std::byte*>(a.ptr(*h2));
+  ASSERT_NE(p1, nullptr);
+  EXPECT_EQ(p2 - p1, 1024);  // first fit: adjacent blocks
+  a.deallocate(*h1);
+  EXPECT_EQ(a.ptr(*h1), nullptr);
+  EXPECT_EQ(a.ptr(*h2), p2);
+}
+
+TEST(GpuAllocator, PeakIsTheHighWaterMarkSinceTheLastReset) {
+  sn::sim::Machine m(sn::sim::k40c_spec());
+  GpuAllocator a(m, 1 << 20, /*native=*/false);
+  auto ha = a.allocate(3 << 10);
+  auto hb = a.allocate(5 << 10);
+  ASSERT_TRUE(ha && hb);
+  a.deallocate(*hb);
+  EXPECT_EQ(a.in_use(), 3u << 10);
+  EXPECT_EQ(a.peak_in_use(), 8u << 10);  // A + B, although B is gone
+  a.reset_peak();
+  EXPECT_EQ(a.peak_in_use(), a.in_use());
+  auto hc = a.allocate(1 << 10);
+  ASSERT_TRUE(hc);
+  EXPECT_EQ(a.peak_in_use(), 4u << 10);
+}
+
+TEST(GpuAllocator, Table2PoolBeatsNativeMoreOnDeeperNets) {
+  // Table 2's claim over both charge policies, in the bench's column order:
+  // the pool wins on every net, and its speedup never drops as the nets get
+  // deeper and more non-linear (more tensors allocated per iteration).
+  struct Cfg {
+    const char* name;
+    int batch;
+  } cfgs[] = {{"AlexNet", 128}, {"VGG16", 16},     {"InceptionV4", 16},
+              {"ResNet50", 16}, {"ResNet101", 16}, {"ResNet152", 16}};
+  double prev_speedup = 0.0;
+  for (const auto& cfg : cfgs) {
+    sn::core::RuntimeOptions pooled = sn::core::make_policy(sn::core::PolicyPreset::kSuperNeurons);
+    pooled.device_capacity = 96ull << 30;
+    auto native = pooled;
+    pooled.use_pool_allocator = true;
+    native.use_pool_allocator = false;
+    auto net_a = sn::bench::build_network(cfg.name, cfg.batch);
+    auto net_b = sn::bench::build_network(cfg.name, cfg.batch);
+    const double pool_ips = sn::bench::sim_img_per_s(*net_a, pooled);
+    const double native_ips = sn::bench::sim_img_per_s(*net_b, native);
+    EXPECT_GT(pool_ips, native_ips) << cfg.name;
+    const double speedup = pool_ips / native_ips;
+    EXPECT_GE(speedup, prev_speedup) << cfg.name;
+    prev_speedup = speedup;
+  }
 }
 
 TEST(HostPool, AccountingAndBackedBuffers) {

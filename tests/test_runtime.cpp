@@ -250,6 +250,24 @@ TEST(Runtime, PeakMemoryLawsAcrossTechniques) {
   EXPECT_LT(rec, offl);
 }
 
+TEST(Runtime, PeakRestartsWithEachForwardPass) {
+  // peak_mem is the device allocator's high-water mark since the pass began
+  // (a 1F1B stage runs forward, backward, forward...): a forward pass after
+  // a backward one must not inherit the backward peak.
+  auto net = graph::build_alexnet(32, 67, 100);
+  RuntimeOptions o;
+  o.real = false;
+  o.tensor_cache = false;
+  o.allow_workspace = false;
+  o.device_capacity = 48ull << 30;
+  core::Runtime rt(*net, o);
+  const uint64_t fwd1 = rt.forward_pass(nullptr, nullptr).peak_mem;
+  const uint64_t bwd = rt.backward_pass(nullptr).peak_mem;
+  const uint64_t fwd2 = rt.forward_pass(nullptr, nullptr).peak_mem;
+  ASSERT_LT(fwd1, bwd);
+  EXPECT_EQ(fwd2, fwd1);
+}
+
 TEST(Runtime, ExtraForwardCountsMatchPlanPrediction) {
   auto run_count = [](core::RecomputeMode mode) {
     auto net = graph::build_mini_alexnet(4);

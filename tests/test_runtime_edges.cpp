@@ -28,8 +28,8 @@ TEST(RuntimeEdges, HostPoolExhaustionIsACleanOom) {
   EXPECT_THROW(rt.train_iteration(nullptr, nullptr), core::OomError);
 }
 
-TEST(RuntimeEdges, NativeAllocatorPathSchedulesCorrectly) {
-  // The cudaMalloc-model allocator must produce the same scheduling
+TEST(RuntimeEdges, NativeChargePolicySchedulesCorrectly) {
+  // The allocator's cudaMalloc charge policy must produce the same scheduling
   // decisions, just slower — Table 2's premise.
   auto run_with = [](bool pool) {
     auto net = graph::build_mini_alexnet(4);
