@@ -8,9 +8,16 @@
 // Throughput counts the global batch against the slowest device's iteration
 // time including the gradient all-reduce and the SGD step, so the
 // communication overhead the fabric model charges is visible as the gap to
-// linear speedup.
+// linear speedup. A point whose network does not fit its devices (the
+// partitioner rejects the stage, or the runtime runs out of device memory)
+// prints as a "does not fit" row, its reason follows the table, and speedups
+// are relative to the smallest device count that fit.
 #include <climits>
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench/cli_args.hpp"
 #include "bench/common.hpp"
@@ -26,6 +33,7 @@ struct Point {
   double allreduce_s = 0.0;
   uint64_t p2p_bytes = 0;
   double img_per_s = 0.0;
+  std::string misfit;  ///< why the network does not fit; empty when it ran
 };
 
 Point run_point(const std::string& net, int devices, int per_device_batch,
@@ -40,12 +48,21 @@ Point run_point(const std::string& net, int devices, int per_device_batch,
   core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons,
                                              fabric.device);
   o.real = false;
-  dist::HybridParallelTrainer dp(
-      [&](int batch) { return bench::build_network(net, batch); }, o, cfg);
-  auto report = dp.run();
-  const auto& st = report.stats.back();
   Point p;
   p.devices = devices;
+  dist::HybridParallelReport report;
+  try {
+    dist::HybridParallelTrainer dp(
+        [&](int batch) { return bench::build_network(net, batch); }, o, cfg);
+    report = dp.run();
+  } catch (const std::invalid_argument& e) {
+    p.misfit = e.what();
+    return p;
+  } catch (const core::OomError& e) {
+    p.misfit = e.what;
+    return p;
+  }
+  const auto& st = report.stats.back();
   p.iter_s = st.seconds;
   p.allreduce_s = st.allreduce_seconds;
   p.p2p_bytes = st.p2p_bytes;
@@ -58,12 +75,18 @@ void sweep(const char* title, const std::string& net, bool weak, int batch,
   std::printf("\n--- %s: %s, %s scaling, batch %d%s ---\n", title, net.c_str(),
               weak ? "weak" : "strong", batch, weak ? "/device" : " global");
   util::Table t({"devices", "iter (ms)", "allreduce (ms)", "P2P (MB)", "img/s", "speedup"});
-  double base = 0.0;
+  std::optional<double> base;  // img/s at the smallest device count that fit
+  std::vector<std::string> misfits;
   for (int devices : {1, 2, 4, 8}) {
     int per_device = weak ? batch : batch / devices;
     Point p = run_point(net, devices, per_device, fabric);
-    if (devices == 1) base = p.img_per_s;
-    double speedup = p.img_per_s / base;
+    if (!p.misfit.empty()) {
+      t.add_row({std::to_string(devices), "does not fit", "-", "-", "-", "-"});
+      misfits.push_back(std::to_string(devices) + " devices: does not fit: " + p.misfit);
+      continue;
+    }
+    if (!base) base = p.img_per_s;
+    double speedup = p.img_per_s / *base;
     t.add_row({std::to_string(devices), util::format_double(p.iter_s * 1e3, 1),
                util::format_double(p.allreduce_s * 1e3, 2), bench::mb(p.p2p_bytes),
                util::format_double(p.img_per_s, 1), util::format_double(speedup, 2)});
@@ -74,6 +97,7 @@ void sweep(const char* title, const std::string& net, bool weak, int batch,
     }
   }
   t.print();
+  for (const auto& m : misfits) std::printf("%s\n", m.c_str());
 }
 
 }  // namespace

@@ -76,37 +76,40 @@ void direct_forward(const ConvDesc& d, const float* x, const float* w, const flo
     for (int t = 0; t < taps; ++t)
       panel[(static_cast<size_t>(k / kLanes) * taps + t) * kF64Vecs + k % kLanes / 2][k % 2] =
           w[static_cast<long>(k) * taps + t];
-  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n) * blocks, [&](size_t nb) {
-    const int n = static_cast<int>(nb) / blocks;
-    const int k0 = static_cast<int>(nb) % blocks * kLanes;
-    const int lanes = std::min(kLanes, d.k - k0);
-    const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
-    const F64x2* pb = panel.data() + static_cast<size_t>(k0 / kLanes) * taps * kF64Vecs;
-    float* yo = y + (static_cast<long>(n) * d.k + k0) * ohw;
-    F64x2 init[kF64Vecs] = {};
-    for (int l = 0; l < lanes; ++l) init[l / 2][l % 2] = bias ? bias[k0 + l] : 0.0f;
-    for (int oy = 0; oy < oh; ++oy) {
-      // Taps ki whose row oy * stride - pad + ki lies inside the image.
-      const int y0 = oy * d.stride_h - d.pad_h;
-      const Span ki_in = stride_range(-y0, d.h - y0, 1, d.kh);
-      for (int ox = 0; ox < ow; ++ox) {
-        const int x0 = ox * d.stride_w - d.pad_w;
-        const Span kj_in = stride_range(-x0, d.w - x0, 1, d.kw);
-        F64x2 acc[kF64Vecs];
-        for (int v = 0; v < kF64Vecs; ++v) acc[v] = init[v];
-        for (int c = 0; c < d.c; ++c) {
-          for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
-            const float* row = xi + (static_cast<long>(c) * d.h + y0 + ki) * d.w + x0;
-            const F64x2* wrow = pb + (c * d.kh + ki) * d.kw * kF64Vecs;
-            for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) {
-              const double xv = row[kj];
-              const F64x2* wt = wrow + kj * kF64Vecs;
-              for (int v = 0; v < kF64Vecs; ++v) acc[v] += xv * wt[v];
+  const size_t tasks = static_cast<size_t>(d.n) * blocks;
+  util::ThreadPool::global().parallel_for(0, tasks, [&](size_t lo, size_t hi) {
+    for (size_t nb = lo; nb < hi; ++nb) {
+      const int n = static_cast<int>(nb) / blocks;
+      const int k0 = static_cast<int>(nb) % blocks * kLanes;
+      const int lanes = std::min(kLanes, d.k - k0);
+      const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
+      const F64x2* pb = panel.data() + static_cast<size_t>(k0 / kLanes) * taps * kF64Vecs;
+      float* yo = y + (static_cast<long>(n) * d.k + k0) * ohw;
+      F64x2 init[kF64Vecs] = {};
+      for (int l = 0; l < lanes; ++l) init[l / 2][l % 2] = bias ? bias[k0 + l] : 0.0f;
+      for (int oy = 0; oy < oh; ++oy) {
+        // Taps ki whose row oy * stride - pad + ki lies inside the image.
+        const int y0 = oy * d.stride_h - d.pad_h;
+        const Span ki_in = stride_range(-y0, d.h - y0, 1, d.kh);
+        for (int ox = 0; ox < ow; ++ox) {
+          const int x0 = ox * d.stride_w - d.pad_w;
+          const Span kj_in = stride_range(-x0, d.w - x0, 1, d.kw);
+          F64x2 acc[kF64Vecs];
+          for (int v = 0; v < kF64Vecs; ++v) acc[v] = init[v];
+          for (int c = 0; c < d.c; ++c) {
+            for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
+              const float* row = xi + (static_cast<long>(c) * d.h + y0 + ki) * d.w + x0;
+              const F64x2* wrow = pb + (c * d.kh + ki) * d.kw * kF64Vecs;
+              for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) {
+                const double xv = row[kj];
+                const F64x2* wt = wrow + kj * kF64Vecs;
+                for (int v = 0; v < kF64Vecs; ++v) acc[v] += xv * wt[v];
+              }
             }
           }
+          float* yp = yo + static_cast<long>(oy) * ow + ox;
+          for (int l = 0; l < lanes; ++l) yp[l * ohw] = static_cast<float>(acc[l / 2][l % 2]);
         }
-        float* yp = yo + static_cast<long>(oy) * ow + ox;
-        for (int l = 0; l < lanes; ++l) yp[l * ohw] = static_cast<float>(acc[l / 2][l % 2]);
       }
     }
   });
@@ -119,18 +122,20 @@ void im2col_forward(const ConvDesc& d, const float* x, const float* w, const flo
   const long ospatial = static_cast<long>(oh) * ow;
   const int ck = d.c * d.kh * d.kw;
   const uint64_t slice = col_elems(d);
-  // Each image owns a workspace slice; nested sgemm runs inline per worker.
-  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t n) {
-    float* col = ws + n * slice;
-    im2col(g, x + static_cast<long>(n) * d.c * d.h * d.w, col);
-    float* yo = y + static_cast<long>(n) * d.k * ospatial;
-    sgemm(false, false, d.k, static_cast<int>(ospatial), ck, 1.0f, w, ck, col,
-          static_cast<int>(ospatial), 0.0f, yo, static_cast<int>(ospatial));
-    if (bias) {
-      for (int k = 0; k < d.k; ++k) {
-        float bv = bias[k];
-        float* row = yo + static_cast<long>(k) * ospatial;
-        for (long i = 0; i < ospatial; ++i) row[i] += bv;
+  // Each image owns a workspace slice; nested sgemm runs inline per lane.
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t lo, size_t hi) {
+    for (size_t n = lo; n < hi; ++n) {
+      float* col = ws + n * slice;
+      im2col(g, x + static_cast<long>(n) * d.c * d.h * d.w, col);
+      float* yo = y + static_cast<long>(n) * d.k * ospatial;
+      sgemm(false, false, d.k, static_cast<int>(ospatial), ck, 1.0f, w, ck, col,
+            static_cast<int>(ospatial), 0.0f, yo, static_cast<int>(ospatial));
+      if (bias) {
+        for (int k = 0; k < d.k; ++k) {
+          float bv = bias[k];
+          float* row = yo + static_cast<long>(k) * ospatial;
+          for (long i = 0; i < ospatial; ++i) row[i] += bv;
+        }
       }
     }
   });
@@ -142,9 +147,11 @@ void fft_forward(const ConvDesc& d, const float* x, const float* w, const float*
   const long in_stride = static_cast<long>(d.c) * d.h * d.w;
   const long out_stride = static_cast<long>(d.k) * d.out_h() * d.out_w();
   const uint64_t slice = fft_conv_workspace_floats(g);
-  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t n) {
-    fft_conv_forward_image(g, d.k, x + n * in_stride, w, bias, y + n * out_stride,
-                           ws + n * slice);
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t lo, size_t hi) {
+    for (size_t n = lo; n < hi; ++n) {
+      fft_conv_forward_image(g, d.k, x + n * in_stride, w, bias, y + n * out_stride,
+                             ws + n * slice);
+    }
   });
 }
 
@@ -154,9 +161,11 @@ void winograd_forward(const ConvDesc& d, const float* x, const float* w, const f
   const long in_stride = static_cast<long>(d.c) * d.h * d.w;
   const long out_stride = static_cast<long>(d.k) * d.out_h() * d.out_w();
   const uint64_t slice = winograd_workspace_floats(d.k, d.c, d.out_h(), d.out_w());
-  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t n) {
-    winograd_forward_image(g, d.k, x + n * in_stride, w, bias, y + n * out_stride,
-                           ws + n * slice);
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t lo, size_t hi) {
+    for (size_t n = lo; n < hi; ++n) {
+      winograd_forward_image(g, d.k, x + n * in_stride, w, bias, y + n * out_stride,
+                             ws + n * slice);
+    }
   });
 }
 
@@ -175,40 +184,43 @@ void direct_backward_data(const ConvDesc& d, const float* w, const float* dy, fl
   constexpr F32x4 kMinusZero = {-0.0f, -0.0f, -0.0f, -0.0f};
   // Gathers each input position's terms: k, then oy, then ox ascending, which
   // is the order a scatter over (k, oy, ox) delivers them in.
-  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n) * blocks, [&](size_t nb) {
-    const int n = static_cast<int>(nb) / blocks;
-    const int c0 = static_cast<int>(nb) % blocks * kLanes;
-    const int lanes = std::min(kLanes, d.c - c0);
-    float* dxi = dx + (static_cast<long>(n) * d.c + c0) * hw;
-    const float* dyi = dy + static_cast<long>(n) * d.k * oh * ow;
-    const F32x4* pb = panel.data() + static_cast<size_t>(c0 / kLanes) * d.k * khw * kF32Vecs;
-    for (int iy = 0; iy < d.h; ++iy) {
-      // Outputs oy that read row iy through a tap ki = iy + pad - oy * stride
-      // in [0, kh); ascending oy visits descending ki.
-      const Span oy_in = stride_range(iy + d.pad_h - d.kh + 1, iy + d.pad_h + 1, d.stride_h, oh);
-      for (int ix = 0; ix < d.w; ++ix) {
-        const Span ox_in =
-            stride_range(ix + d.pad_w - d.kw + 1, ix + d.pad_w + 1, d.stride_w, ow);
-        float* xp = dxi + static_cast<long>(iy) * d.w + ix;
-        F32x4 acc[kF32Vecs] = {};
-        for (int l = 0; l < lanes; ++l) acc[l / 4][l % 4] = xp[l * hw];
-        for (int k = 0; k < d.k; ++k) {
-          const float* dyk = dyi + static_cast<long>(k) * oh * ow;
-          const F32x4* wk = pb + static_cast<size_t>(k) * khw * kF32Vecs;
-          for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
-            const int ki = iy + d.pad_h - oy * d.stride_h;
-            for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
-              const float gs = dyk[static_cast<long>(oy) * ow + ox];
-              const F32x4 g = {gs, gs, gs, gs};
-              const F32x4* wt = wk + (ki * d.kw + ix + d.pad_w - ox * d.stride_w) * kF32Vecs;
-              // A zero g adds -0.0 in place of its term, without a branch
-              // (zero gradients are common after a ReLU). x + -0 is x for
-              // every x in round-to-nearest, +0 and -0 included.
-              for (int v = 0; v < kF32Vecs; ++v) acc[v] += g != 0.0f ? g * wt[v] : kMinusZero;
+  const size_t tasks = static_cast<size_t>(d.n) * blocks;
+  util::ThreadPool::global().parallel_for(0, tasks, [&](size_t lo, size_t hi) {
+    for (size_t nb = lo; nb < hi; ++nb) {
+      const int n = static_cast<int>(nb) / blocks;
+      const int c0 = static_cast<int>(nb) % blocks * kLanes;
+      const int lanes = std::min(kLanes, d.c - c0);
+      float* dxi = dx + (static_cast<long>(n) * d.c + c0) * hw;
+      const float* dyi = dy + static_cast<long>(n) * d.k * oh * ow;
+      const F32x4* pb = panel.data() + static_cast<size_t>(c0 / kLanes) * d.k * khw * kF32Vecs;
+      for (int iy = 0; iy < d.h; ++iy) {
+        // Outputs oy that read row iy through a tap ki = iy + pad - oy * stride
+        // in [0, kh); ascending oy visits descending ki.
+        const Span oy_in = stride_range(iy + d.pad_h - d.kh + 1, iy + d.pad_h + 1, d.stride_h, oh);
+        for (int ix = 0; ix < d.w; ++ix) {
+          const Span ox_in =
+              stride_range(ix + d.pad_w - d.kw + 1, ix + d.pad_w + 1, d.stride_w, ow);
+          float* xp = dxi + static_cast<long>(iy) * d.w + ix;
+          F32x4 acc[kF32Vecs] = {};
+          for (int l = 0; l < lanes; ++l) acc[l / 4][l % 4] = xp[l * hw];
+          for (int k = 0; k < d.k; ++k) {
+            const float* dyk = dyi + static_cast<long>(k) * oh * ow;
+            const F32x4* wk = pb + static_cast<size_t>(k) * khw * kF32Vecs;
+            for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
+              const int ki = iy + d.pad_h - oy * d.stride_h;
+              for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
+                const float gs = dyk[static_cast<long>(oy) * ow + ox];
+                const F32x4 g = {gs, gs, gs, gs};
+                const F32x4* wt = wk + (ki * d.kw + ix + d.pad_w - ox * d.stride_w) * kF32Vecs;
+                // A zero g adds -0.0 in place of its term, without a branch
+                // (zero gradients are common after a ReLU). x + -0 is x for
+                // every x in round-to-nearest, +0 and -0 included.
+                for (int v = 0; v < kF32Vecs; ++v) acc[v] += g != 0.0f ? g * wt[v] : kMinusZero;
+              }
             }
           }
+          for (int l = 0; l < lanes; ++l) xp[l * hw] = acc[l / 4][l % 4];
         }
-        for (int l = 0; l < lanes; ++l) xp[l * hw] = acc[l / 4][l % 4];
       }
     }
   });
@@ -220,13 +232,15 @@ void im2col_backward_data(const ConvDesc& d, const float* w, const float* dy, fl
   const long ospatial = static_cast<long>(d.out_h()) * d.out_w();
   const int ck = d.c * d.kh * d.kw;
   const uint64_t slice = col_elems(d);
-  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t n) {
-    float* col = ws + n * slice;
-    // colgrad (CK x OS) = Wᵀ (CK x K) * dy_n (K x OS)
-    sgemm(true, false, ck, static_cast<int>(ospatial), d.k, 1.0f, w, ck,
-          dy + static_cast<long>(n) * d.k * ospatial, static_cast<int>(ospatial), 0.0f, col,
-          static_cast<int>(ospatial));
-    col2im(g, col, dx + static_cast<long>(n) * d.c * d.h * d.w);
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(d.n), [&](size_t lo, size_t hi) {
+    for (size_t n = lo; n < hi; ++n) {
+      float* col = ws + n * slice;
+      // colgrad (CK x OS) = Wᵀ (CK x K) * dy_n (K x OS)
+      sgemm(true, false, ck, static_cast<int>(ospatial), d.k, 1.0f, w, ck,
+            dy + static_cast<long>(n) * d.k * ospatial, static_cast<int>(ospatial), 0.0f, col,
+            static_cast<int>(ospatial));
+      col2im(g, col, dx + static_cast<long>(n) * d.c * d.h * d.w);
+    }
   });
 }
 
@@ -241,61 +255,64 @@ void direct_backward_filter(const ConvDesc& d, const float* x, const float* dy, 
   // the full-batch gradient bit for bit; see util/pairwise.hpp). Each task
   // owns one block of output channels and one tree per channel.
   const int blocks = lane_blocks(d.k);
-  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(blocks), [&](size_t bi) {
-    const int k0 = static_cast<int>(bi) * kLanes;
-    const int lanes = std::min(kLanes, d.k - k0);
-    std::vector<util::PairwiseVecAccumulator> acc(lanes, util::PairwiseVecAccumulator(wdim));
-    std::vector<float> leaves(lanes * wdim);
-    std::vector<F64x2> grad(ohw * kF64Vecs);  // [oy][ox][lane]
-    std::vector<float> db_leaf(db ? static_cast<size_t>(lanes) * d.n : 0);
-    for (int n = 0; n < d.n; ++n) {
-      const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
-      const float* dyn = dy + (static_cast<long>(n) * d.k + k0) * ohw;
-      F64x2 dbn[kF64Vecs] = {};
-      for (long p = 0; p < ohw; ++p) {
-        F64x2* gp = grad.data() + p * kF64Vecs;
-        for (int l = 0; l < lanes; ++l) gp[l / 2][l % 2] = dyn[l * ohw + p];
-        for (int v = 0; v < kF64Vecs; ++v) dbn[v] += gp[v];
-      }
-      for (int c = 0; c < d.c; ++c) {
-        for (int ki = 0; ki < d.kh; ++ki) {
-          // Outputs oy whose tap ki reads row oy * stride - pad + ki inside
-          // the image.
-          const Span oy_in = stride_range(d.pad_h - ki, d.h + d.pad_h - ki, d.stride_h, oh);
-          for (int kj = 0; kj < d.kw; ++kj) {
-            const Span ox_in = stride_range(d.pad_w - kj, d.w + d.pad_w - kj, d.stride_w, ow);
-            F64x2 sum[kF64Vecs] = {};
-            for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
-              const float* row =
-                  xi + (static_cast<long>(c) * d.h + oy * d.stride_h - d.pad_h + ki) * d.w + kj -
-                  d.pad_w;
-              const F64x2* grow = grad.data() + static_cast<long>(oy) * ow * kF64Vecs;
-              for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
-                const double xv = row[ox * d.stride_w];
-                const F64x2* g = grow + ox * kF64Vecs;
-                // A zero g adds +0.0 in place of its term, without a branch.
-                // That leaves the sum unchanged: it starts at +0.0, and a
-                // round-to-nearest sum is -0 only if both operands are.
-                for (int v = 0; v < kF64Vecs; ++v) sum[v] += g[v] != 0.0 ? g[v] * xv : F64x2{};
+  const auto nblocks = static_cast<size_t>(blocks);
+  util::ThreadPool::global().parallel_for(0, nblocks, [&](size_t lo, size_t hi) {
+    for (size_t bi = lo; bi < hi; ++bi) {
+      const int k0 = static_cast<int>(bi) * kLanes;
+      const int lanes = std::min(kLanes, d.k - k0);
+      std::vector<util::PairwiseVecAccumulator> acc(lanes, util::PairwiseVecAccumulator(wdim));
+      std::vector<float> leaves(lanes * wdim);
+      std::vector<F64x2> grad(ohw * kF64Vecs);  // [oy][ox][lane]
+      std::vector<float> db_leaf(db ? static_cast<size_t>(lanes) * d.n : 0);
+      for (int n = 0; n < d.n; ++n) {
+        const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
+        const float* dyn = dy + (static_cast<long>(n) * d.k + k0) * ohw;
+        F64x2 dbn[kF64Vecs] = {};
+        for (long p = 0; p < ohw; ++p) {
+          F64x2* gp = grad.data() + p * kF64Vecs;
+          for (int l = 0; l < lanes; ++l) gp[l / 2][l % 2] = dyn[l * ohw + p];
+          for (int v = 0; v < kF64Vecs; ++v) dbn[v] += gp[v];
+        }
+        for (int c = 0; c < d.c; ++c) {
+          for (int ki = 0; ki < d.kh; ++ki) {
+            // Outputs oy whose tap ki reads row oy * stride - pad + ki inside
+            // the image.
+            const Span oy_in = stride_range(d.pad_h - ki, d.h + d.pad_h - ki, d.stride_h, oh);
+            for (int kj = 0; kj < d.kw; ++kj) {
+              const Span ox_in = stride_range(d.pad_w - kj, d.w + d.pad_w - kj, d.stride_w, ow);
+              F64x2 sum[kF64Vecs] = {};
+              for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
+                const float* row =
+                    xi + (static_cast<long>(c) * d.h + oy * d.stride_h - d.pad_h + ki) * d.w + kj -
+                    d.pad_w;
+                const F64x2* grow = grad.data() + static_cast<long>(oy) * ow * kF64Vecs;
+                for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
+                  const double xv = row[ox * d.stride_w];
+                  const F64x2* g = grow + ox * kF64Vecs;
+                  // A zero g adds +0.0 in place of its term, without a branch.
+                  // That leaves the sum unchanged: it starts at +0.0, and a
+                  // round-to-nearest sum is -0 only if both operands are.
+                  for (int v = 0; v < kF64Vecs; ++v) sum[v] += g[v] != 0.0 ? g[v] * xv : F64x2{};
+                }
               }
+              const size_t tap = (static_cast<size_t>(c) * d.kh + ki) * d.kw + kj;
+              for (int l = 0; l < lanes; ++l)
+                leaves[l * wdim + tap] = static_cast<float>(sum[l / 2][l % 2]);
             }
-            const size_t tap = (static_cast<size_t>(c) * d.kh + ki) * d.kw + kj;
-            for (int l = 0; l < lanes; ++l)
-              leaves[l * wdim + tap] = static_cast<float>(sum[l / 2][l % 2]);
           }
+        }
+        for (int l = 0; l < lanes; ++l) {
+          acc[l].push(leaves.data() + l * wdim);
+          if (db) db_leaf[static_cast<size_t>(l) * d.n + n] = static_cast<float>(dbn[l / 2][l % 2]);
         }
       }
       for (int l = 0; l < lanes; ++l) {
-        acc[l].push(leaves.data() + l * wdim);
-        if (db) db_leaf[static_cast<size_t>(l) * d.n + n] = static_cast<float>(dbn[l / 2][l % 2]);
-      }
-    }
-    for (int l = 0; l < lanes; ++l) {
-      acc[l].finish(dw + static_cast<long>(k0 + l) * wdim);
-      if (db) {
-        db[k0 + l] = util::pairwise_sum<float>(static_cast<uint64_t>(d.n), [&](uint64_t n) {
-          return db_leaf[static_cast<size_t>(l) * d.n + n];
-        });
+        acc[l].finish(dw + static_cast<long>(k0 + l) * wdim);
+        if (db) {
+          db[k0 + l] = util::pairwise_sum<float>(static_cast<uint64_t>(d.n), [&](uint64_t n) {
+            return db_leaf[static_cast<size_t>(l) * d.n + n];
+          });
+        }
       }
     }
   });

@@ -1,6 +1,5 @@
 #include "nn/fc.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -31,17 +30,12 @@ void fc_backward_filter(const FcDesc& f, const float* x, const float* dy, float*
   // dy[n][k] * x[n][:], so an equal power-of-two batch shard contributes
   // exactly one subtree and data-parallel all-reduced gradients match the
   // single-device ones bit for bit.
-  // Rows run in blocks so each worker allocates its accumulator/leaf scratch
-  // once per block, not once per output row (finish() resets the tree).
-  auto& pool = util::ThreadPool::global();
-  const int grain = std::max(1, f.k / static_cast<int>(pool.size() * 4));
-  const int blocks = (f.k + grain - 1) / grain;
-  pool.parallel_for(0, static_cast<size_t>(blocks), [&](size_t bi) {
-    const int k0 = static_cast<int>(bi) * grain;
-    const int k1 = std::min(f.k, k0 + grain);
+  // Each lane allocates its accumulator/leaf scratch once for its whole row
+  // range, not once per output row (finish() resets the tree).
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(f.k), [&](size_t lo, size_t hi) {
     util::PairwiseVecAccumulator acc(static_cast<size_t>(f.d));
     std::vector<float> leaf(static_cast<size_t>(f.d));
-    for (int k = k0; k < k1; ++k) {
+    for (int k = static_cast<int>(lo); k < static_cast<int>(hi); ++k) {
       for (int n = 0; n < f.n; ++n) {
         const float g = dy[static_cast<long>(n) * f.k + k];
         const float* xn = x + static_cast<long>(n) * f.d;

@@ -57,17 +57,14 @@ void gemm_general(bool trans_a, bool trans_b, int n, int k, float alpha, const f
 void sgemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha, const float* a, int lda,
            const float* b, int ldb, float beta, float* c, int ldc) {
   if (m <= 0 || n <= 0) return;
-  auto& pool = util::ThreadPool::global();
-  // Split rows of C across workers; each range is written by exactly one task.
-  const int grain = std::max(1, m / static_cast<int>(pool.size() * 4));
-  const int chunks = (m + grain - 1) / grain;
-  pool.parallel_for(0, static_cast<size_t>(chunks), [&](size_t ci) {
-    int lo = static_cast<int>(ci) * grain;
-    int hi = std::min(m, lo + grain);
+  // Split rows of C across the lanes; each range is written by exactly one lane.
+  util::ThreadPool::global().parallel_for(0, static_cast<size_t>(m), [&](size_t lo, size_t hi) {
     if (!trans_a && !trans_b) {
-      gemm_nn(n, k, alpha, a, lda, b, ldb, beta, c, ldc, lo, hi);
+      gemm_nn(n, k, alpha, a, lda, b, ldb, beta, c, ldc, static_cast<int>(lo),
+              static_cast<int>(hi));
     } else {
-      gemm_general(trans_a, trans_b, n, k, alpha, a, lda, b, ldb, beta, c, ldc, lo, hi);
+      gemm_general(trans_a, trans_b, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+                   static_cast<int>(lo), static_cast<int>(hi));
     }
   });
 }

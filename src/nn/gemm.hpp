@@ -2,8 +2,8 @@
 //
 // Row-major: C (MxN) = alpha * op(A) * op(B) + beta * C.
 // Blocked over K with the inner loops arranged i-k-j so the innermost loop
-// streams both B and C rows; parallelized across row-blocks of C via the
-// global thread pool. Not a BLAS replacement — it exists so that convolution
+// streams both B and C rows; the rows of C are split into one contiguous
+// range per lane of the global kernel pool. Not a BLAS replacement — it exists so that convolution
 // and FC layers have real, recomputable numerics with plausible cache
 // behaviour.
 #pragma once

@@ -228,31 +228,33 @@ void reference_direct_forward(const ConvDesc& d, const float* x, const float* w,
                               const float* bias, float* y) {
   const int oh = d.out_h(), ow = d.out_w();
   auto& pool = util::ThreadPool::global();
-  pool.parallel_for(0, static_cast<size_t>(d.n) * d.k, [&](size_t nk) {
-    int n = static_cast<int>(nk) / d.k;
-    int k = static_cast<int>(nk) % d.k;
-    const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
-    const float* wk = w + static_cast<long>(k) * d.c * d.kh * d.kw;
-    float* yo = y + (static_cast<long>(n) * d.k + k) * oh * ow;
-    float bv = bias ? bias[k] : 0.0f;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        double acc = bv;
-        for (int c = 0; c < d.c; ++c) {
-          const float* plane = xi + static_cast<long>(c) * d.h * d.w;
-          const float* wc = wk + static_cast<long>(c) * d.kh * d.kw;
-          for (int ki = 0; ki < d.kh; ++ki) {
-            int iy = oy * d.stride_h - d.pad_h + ki;
-            if (iy < 0 || iy >= d.h) continue;
-            for (int kj = 0; kj < d.kw; ++kj) {
-              int ix = ox * d.stride_w - d.pad_w + kj;
-              if (ix < 0 || ix >= d.w) continue;
-              acc += static_cast<double>(plane[static_cast<long>(iy) * d.w + ix]) *
-                     wc[ki * d.kw + kj];
+  pool.parallel_for(0, static_cast<size_t>(d.n) * d.k, [&](size_t lo, size_t hi) {
+    for (size_t nk = lo; nk < hi; ++nk) {
+      int n = static_cast<int>(nk) / d.k;
+      int k = static_cast<int>(nk) % d.k;
+      const float* xi = x + static_cast<long>(n) * d.c * d.h * d.w;
+      const float* wk = w + static_cast<long>(k) * d.c * d.kh * d.kw;
+      float* yo = y + (static_cast<long>(n) * d.k + k) * oh * ow;
+      float bv = bias ? bias[k] : 0.0f;
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox) {
+          double acc = bv;
+          for (int c = 0; c < d.c; ++c) {
+            const float* plane = xi + static_cast<long>(c) * d.h * d.w;
+            const float* wc = wk + static_cast<long>(c) * d.kh * d.kw;
+            for (int ki = 0; ki < d.kh; ++ki) {
+              int iy = oy * d.stride_h - d.pad_h + ki;
+              if (iy < 0 || iy >= d.h) continue;
+              for (int kj = 0; kj < d.kw; ++kj) {
+                int ix = ox * d.stride_w - d.pad_w + kj;
+                if (ix < 0 || ix >= d.w) continue;
+                acc += static_cast<double>(plane[static_cast<long>(iy) * d.w + ix]) *
+                       wc[ki * d.kw + kj];
+              }
             }
           }
+          yo[static_cast<long>(oy) * ow + ox] = static_cast<float>(acc);
         }
-        yo[static_cast<long>(oy) * ow + ox] = static_cast<float>(acc);
       }
     }
   });
@@ -262,27 +264,29 @@ void reference_direct_backward_data(const ConvDesc& d, const float* w, const flo
                                     float* dx) {
   const int oh = d.out_h(), ow = d.out_w();
   auto& pool = util::ThreadPool::global();
-  pool.parallel_for(0, static_cast<size_t>(d.n), [&](size_t ni) {
-    int n = static_cast<int>(ni);
-    float* dxi = dx + static_cast<long>(n) * d.c * d.h * d.w;
-    const float* dyi = dy + static_cast<long>(n) * d.k * oh * ow;
-    for (int k = 0; k < d.k; ++k) {
-      const float* wk = w + static_cast<long>(k) * d.c * d.kh * d.kw;
-      const float* dyk = dyi + static_cast<long>(k) * oh * ow;
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          float g = dyk[static_cast<long>(oy) * ow + ox];
-          if (g == 0.0f) continue;
-          for (int c = 0; c < d.c; ++c) {
-            float* plane = dxi + static_cast<long>(c) * d.h * d.w;
-            const float* wc = wk + static_cast<long>(c) * d.kh * d.kw;
-            for (int ki = 0; ki < d.kh; ++ki) {
-              int iy = oy * d.stride_h - d.pad_h + ki;
-              if (iy < 0 || iy >= d.h) continue;
-              for (int kj = 0; kj < d.kw; ++kj) {
-                int ix = ox * d.stride_w - d.pad_w + kj;
-                if (ix < 0 || ix >= d.w) continue;
-                plane[static_cast<long>(iy) * d.w + ix] += g * wc[ki * d.kw + kj];
+  pool.parallel_for(0, static_cast<size_t>(d.n), [&](size_t lo, size_t hi) {
+    for (size_t ni = lo; ni < hi; ++ni) {
+      int n = static_cast<int>(ni);
+      float* dxi = dx + static_cast<long>(n) * d.c * d.h * d.w;
+      const float* dyi = dy + static_cast<long>(n) * d.k * oh * ow;
+      for (int k = 0; k < d.k; ++k) {
+        const float* wk = w + static_cast<long>(k) * d.c * d.kh * d.kw;
+        const float* dyk = dyi + static_cast<long>(k) * oh * ow;
+        for (int oy = 0; oy < oh; ++oy) {
+          for (int ox = 0; ox < ow; ++ox) {
+            float g = dyk[static_cast<long>(oy) * ow + ox];
+            if (g == 0.0f) continue;
+            for (int c = 0; c < d.c; ++c) {
+              float* plane = dxi + static_cast<long>(c) * d.h * d.w;
+              const float* wc = wk + static_cast<long>(c) * d.kh * d.kw;
+              for (int ki = 0; ki < d.kh; ++ki) {
+                int iy = oy * d.stride_h - d.pad_h + ki;
+                if (iy < 0 || iy >= d.h) continue;
+                for (int kj = 0; kj < d.kw; ++kj) {
+                  int ix = ox * d.stride_w - d.pad_w + kj;
+                  if (ix < 0 || ix >= d.w) continue;
+                  plane[static_cast<long>(iy) * d.w + ix] += g * wc[ki * d.kw + kj];
+                }
               }
             }
           }
@@ -297,11 +301,9 @@ void reference_direct_backward_filter(const ConvDesc& d, const float* x, const f
   const int oh = d.out_h(), ow = d.out_w();
   const size_t wdim = static_cast<size_t>(d.c) * d.kh * d.kw;
   auto& pool = util::ThreadPool::global();
-  const int grain = std::max(1, d.k / static_cast<int>(pool.size() * 4));
-  const int blocks = (d.k + grain - 1) / grain;
-  pool.parallel_for(0, static_cast<size_t>(blocks), [&](size_t bi) {
-    const int bk0 = static_cast<int>(bi) * grain;
-    const int bk1 = std::min(d.k, bk0 + grain);
+  pool.parallel_for(0, static_cast<size_t>(d.k), [&](size_t lo, size_t hi) {
+    const int bk0 = static_cast<int>(lo);
+    const int bk1 = static_cast<int>(hi);
     util::PairwiseVecAccumulator acc(wdim);
     std::vector<double> sample(wdim);
     std::vector<float> leaf(wdim);

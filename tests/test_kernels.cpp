@@ -1,9 +1,14 @@
 // Forward-semantics tests for the non-conv kernels: pooling (incl. argmax),
-// ReLU, LRN, BN statistics, dropout determinism, softmax, eltwise, concat.
+// ReLU, LRN, BN statistics, dropout determinism, softmax, eltwise, concat;
+// the elementwise kernels are also checked bit for bit against scalar loops.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -274,6 +279,130 @@ TEST(Fc, ForwardMatchesManual) {
   EXPECT_FLOAT_EQ(y[1], 1.5f);   // row0 . w1 + b1
   EXPECT_FLOAT_EQ(y[2], 4.5f);
   EXPECT_FLOAT_EQ(y[3], 4.5f);
+}
+
+// --- elementwise kernels vs plain scalar loops, bit for bit -------------------
+//
+// The sizes straddle dropout's 4096-element RNG chunk and split unevenly
+// across the kernel pool's lanes, so range boundaries fall everywhere; the
+// inputs mix ordinary values with -0.0, NaN, +-inf and denormals.
+
+const std::vector<uint64_t> kElemSizes{1, 3, 4095, 4096, 4097, 100003};
+
+std::vector<float> mixed_floats(uint64_t n, uint64_t seed) {
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-40f,
+                            -3e-39f,
+                            std::numeric_limits<float>::max()};
+  sn::util::Rng rng(seed);
+  std::vector<float> v(n);
+  for (auto& f : v) {
+    f = rng.next_below(5) == 0 ? specials[rng.next_below(std::size(specials))]
+                               : rng.normal(0.0f, 4.0f);
+  }
+  return v;
+}
+
+/// Bit-for-bit equality (memcmp per element), except that any two NaNs
+/// match: when both operands of an add are NaN, which one the result carries
+/// follows the operand order the compiler emitted, and IEEE 754 leaves that
+/// open (a Debug and a Release build differ there).
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(Elementwise, ForwardKernelsMatchScalarLoopsBitForBit) {
+  for (uint64_t n : kElemSizes) {
+    SCOPED_TRACE("elems " + std::to_string(n));
+    const auto x = mixed_floats(n, n);
+    std::vector<float> got(n), want(n);
+
+    relu_forward(n, x.data(), got.data());
+    for (uint64_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    EXPECT_TRUE(same_bits(got, want)) << "relu_forward";
+
+    sigmoid_forward(n, x.data(), got.data());
+    for (uint64_t i = 0; i < n; ++i) want[i] = 1.0f / (1.0f + std::exp(-x[i]));
+    EXPECT_TRUE(same_bits(got, want)) << "sigmoid_forward";
+
+    tanh_forward(n, x.data(), got.data());
+    for (uint64_t i = 0; i < n; ++i) want[i] = std::tanh(x[i]);
+    EXPECT_TRUE(same_bits(got, want)) << "tanh_forward";
+
+    const auto x1 = mixed_floats(n, n + 1), x2 = mixed_floats(n, n + 2);
+    const std::vector<std::vector<const float*>> branch_sets{
+        {x.data()}, {x.data(), x1.data()}, {x.data(), x1.data(), x2.data()}};
+    for (const auto& xs : branch_sets) {
+      eltwise_sum_forward(n, xs, got.data());
+      for (uint64_t i = 0; i < n; ++i) {
+        float acc = xs[0][i];
+        for (size_t b = 1; b < xs.size(); ++b) acc += xs[b][i];
+        want[i] = acc;
+      }
+      EXPECT_TRUE(same_bits(got, want)) << "eltwise_sum_forward, " << xs.size() << " branches";
+    }
+  }
+}
+
+TEST(Elementwise, BackwardKernelsMatchScalarLoopsBitForBit) {
+  for (uint64_t n : kElemSizes) {
+    SCOPED_TRACE("elems " + std::to_string(n));
+    const auto x = mixed_floats(n, 3 * n), dy = mixed_floats(n, 3 * n + 1);
+    const auto dx0 = mixed_floats(n, 3 * n + 2);
+
+    auto check = [&](const char* name, auto kernel, auto scalar) {
+      std::vector<float> got = dx0, want = dx0;
+      kernel(got.data());
+      for (uint64_t i = 0; i < n; ++i) scalar(i, want[i]);
+      EXPECT_TRUE(same_bits(got, want)) << name;
+    };
+    check(
+        "relu_backward", [&](float* dx) { relu_backward(n, x.data(), dy.data(), dx); },
+        [&](uint64_t i, float& d) {
+          if (x[i] > 0.0f) d += dy[i];
+        });
+    check(
+        "sigmoid_backward", [&](float* dx) { sigmoid_backward(n, x.data(), dy.data(), dx); },
+        [&](uint64_t i, float& d) { d += dy[i] * x[i] * (1.0f - x[i]); });
+    check(
+        "tanh_backward", [&](float* dx) { tanh_backward(n, x.data(), dy.data(), dx); },
+        [&](uint64_t i, float& d) { d += dy[i] * (1.0f - x[i] * x[i]); });
+    check(
+        "eltwise_sum_backward", [&](float* dx) { eltwise_sum_backward(n, dy.data(), dx); },
+        [&](uint64_t i, float& d) { d += dy[i]; });
+    check(
+        "dropout_backward", [&](float* dx) { dropout_backward(n, x.data(), dy.data(), dx); },
+        [&](uint64_t i, float& d) { d += dy[i] * x[i]; });
+  }
+}
+
+TEST(Elementwise, DropoutMaskDependsOnlyOnSeedAndIndex) {
+  // Element i's mask comes from its 4096-element chunk's own RNG stream, so
+  // a shorter call yields a prefix of a longer one, however the pool splits.
+  const uint64_t longest = kElemSizes.back();
+  const auto x = mixed_floats(longest, 11);
+  std::vector<float> y_all(longest), m_all(longest);
+  dropout_forward(longest, 0.4f, 2024, x.data(), y_all.data(), m_all.data());
+  for (uint64_t n : kElemSizes) {
+    SCOPED_TRACE("elems " + std::to_string(n));
+    std::vector<float> y(n), m(n);
+    dropout_forward(n, 0.4f, 2024, x.data(), y.data(), m.data());
+    EXPECT_EQ(std::memcmp(m.data(), m_all.data(), n * sizeof(float)), 0);
+    std::vector<float> want(n);
+    for (uint64_t i = 0; i < n; ++i) want[i] = x[i] * m[i];
+    EXPECT_TRUE(same_bits(y, want));
+  }
 }
 
 }  // namespace

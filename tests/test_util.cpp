@@ -1,8 +1,18 @@
 // Unit tests for the util substrate: RNG determinism, stats, table printer,
 // thread pool correctness.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -91,18 +101,140 @@ TEST(Series, RendersSharedAxis) {
   EXPECT_NE(s.find("1.50"), std::string::npos);
 }
 
+/// Threads in this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+/// CPUs in this process's affinity mask.
+int affinity_cpus(cpu_set_t* mask) {
+  CPU_ZERO(mask);
+  if (sched_getaffinity(0, sizeof *mask, mask) != 0) return -1;
+  return CPU_COUNT(mask);
+}
+
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for(0, 1000, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.parallel_for(5, 5, [&](size_t) { ++calls; });
+  pool.parallel_for(5, 5, [&](size_t, size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
+}
+
+TEST(ThreadPool, RangesAreDisjointContiguousAndCoverTheRangeOnce) {
+  for (size_t lanes = 1; lanes <= 4; ++lanes) {
+    ThreadPool pool(lanes);
+    ASSERT_EQ(pool.lanes(), lanes);
+    for (size_t size = 0; size <= 64; ++size) {
+      const size_t begin = 7, end = begin + size;
+      std::mutex mu;
+      std::vector<std::pair<size_t, size_t>> ranges;
+      pool.parallel_for(begin, end, [&](size_t lo, size_t hi) {
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(lo, hi);
+      });
+      std::sort(ranges.begin(), ranges.end());
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + ", size " + std::to_string(size));
+      EXPECT_EQ(ranges.size(), std::min(lanes, size));
+      size_t next = begin;
+      for (auto [lo, hi] : ranges) {
+        EXPECT_EQ(lo, next);
+        EXPECT_LT(lo, hi);
+        next = hi;
+      }
+      EXPECT_EQ(next, end);
+    }
+  }
+}
+
+TEST(ThreadPool, OneLanePoolRunsInlineAndStartsNoThread) {
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.lanes(), 1u);
+  EXPECT_EQ(process_threads(), before);
+  std::vector<std::pair<size_t, size_t>> ranges;
+  std::thread::id ran_on;
+  pool.parallel_for(3, 1003, [&](size_t lo, size_t hi) {
+    ranges.emplace_back(lo, hi);
+    ran_on = std::this_thread::get_id();
+  });
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], std::make_pair(size_t{3}, size_t{1003}));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(process_threads(), before);
+}
+
+TEST(ThreadPool, CallerRunsTheFirstRangeAndStartsOneThreadFewer) {
+  const int before = process_threads();
+  ThreadPool pool(4);
+  EXPECT_EQ(process_threads(), before + 3);
+  std::thread::id first_range_on;
+  pool.parallel_for(0, 400, [&](size_t lo, size_t) {
+    if (lo == 0) first_range_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(first_range_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, NestedCallsRunInline) {
+  ThreadPool pool(4);
+  std::atomic<int> inner_calls{0};
+  std::atomic<long> sum{0};
+  pool.parallel_for(0, 4, [&](size_t, size_t) {
+    pool.parallel_for(0, 100, [&](size_t lo, size_t hi) {
+      inner_calls.fetch_add(1);
+      for (size_t i = lo; i < hi; ++i) sum.fetch_add(static_cast<long>(i));
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 4);
+  EXPECT_EQ(sum.load(), 4 * 4950);
+}
+
+TEST(ThreadPool, ExceptionInTheCallersRangeWaitsForTheWorkers) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(0, 4,
+                                 [&](size_t lo, size_t) {
+                                   if (lo == 0) throw std::runtime_error("lane 0");
+                                   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+  cpu_set_t mask;
+  const int cpus = affinity_cpus(&mask);
+  ASSERT_GT(cpus, 0);
+  EXPECT_EQ(ThreadPool().lanes(), static_cast<size_t>(cpus));
+
+  // A child pinned to one CPU gets a one-lane pool. The threadsafe style
+  // re-executes this binary for the child, so no pool thread of this process
+  // is forked with it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  EXPECT_EXIT(
+      {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(first, &one);
+        if (sched_setaffinity(0, sizeof one, &one) != 0) std::_Exit(2);
+        std::_Exit(ThreadPool().lanes() == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ThreadPool, NestedInvocationsFromGlobal) {
@@ -110,7 +242,9 @@ TEST(ThreadPool, NestedInvocationsFromGlobal) {
   auto& pool = ThreadPool::global();
   std::atomic<long> sum{0};
   for (int rep = 0; rep < 10; ++rep) {
-    pool.parallel_for(0, 100, [&](size_t i) { sum.fetch_add(static_cast<long>(i)); });
+    pool.parallel_for(0, 100, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) sum.fetch_add(static_cast<long>(i));
+    });
   }
   EXPECT_EQ(sum.load(), 10 * 4950);
 }
@@ -118,13 +252,14 @@ TEST(ThreadPool, NestedInvocationsFromGlobal) {
 TEST(ThreadPool, ManyTinyCallsNeverOutliveTheCaller) {
   // Each call's completion state lives on the caller's stack; a worker that
   // touches it after the caller returned corrupts the next call's frame.
-  // Thousands of two-chunk calls keep that window busy (TSan flags it).
+  // Thousands of two-range calls keep that window busy (TSan flags it).
   ThreadPool pool(4);
   long total = 0;
   for (int rep = 0; rep < 20000; ++rep) {
     std::atomic<long> sum{0};
-    pool.parallel_for(0, 2 + static_cast<size_t>(rep % 7),
-                      [&](size_t i) { sum.fetch_add(static_cast<long>(i)); });
+    pool.parallel_for(0, 2 + static_cast<size_t>(rep % 7), [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) sum.fetch_add(static_cast<long>(i));
+    });
     total += sum.load();
   }
   long expect = 0;
