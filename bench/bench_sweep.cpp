@@ -1,5 +1,5 @@
 // bench_sweep: run the declared {net x grid geometry x link spec x pool
-// budget x schedule policy} matrix (bench/sweep_config.hpp) with R repeats
+// budget} matrix (bench/sweep_config.hpp) with R repeats
 // per cell and emit one schema-versioned sweep document — the "sweep"
 // section of a committed BENCH_<n>.json trajectory point.
 //
@@ -14,10 +14,10 @@
 // all four geometries share one accounting path.
 //
 // After the sweep, bench/sweep_checks.hpp asserts the pipeline and grid
-// claims over the cells (GPipe's bubble shrinks with M, 1F1B's bubble and
-// exposed all-reduce undercut GPipe's, the 2x2 grid beats the 2-device
-// baselines), prints the cells each check compared, and exits 1 on a
-// violation. The demo tier declares none of those cells and skips them.
+// claims over the cells (the 2-stage bubble shrinks with M, the 2x2 grid
+// beats the 2-device baselines), prints the cells each check compared, and
+// exits 1 on a violation. The demo tier declares none of those cells and
+// skips them.
 //
 //   ./bench_sweep [--json out.json] [--tier small|full|demo] [--repeats N]
 //                 [--point N] [--seed S] [--peer-staging auto|on|off]
@@ -165,8 +165,6 @@ int main(int argc, char** argv) {
       cfg.cluster = cluster_for(spec);
       cfg.train.iterations = kIters;
       cfg.train.data_seed = data_seed;
-      cfg.schedule =
-          spec.schedule == "1f1b" ? dist::SchedulePolicy::k1F1B : dist::SchedulePolicy::kGPipe;
       cfg.peer_staging = staging_mode == "on"    ? devices > 1
                          : staging_mode == "off" ? false
                                                  : spec.peer_staging;
@@ -188,7 +186,7 @@ int main(int argc, char** argv) {
         obs::ChromeTraceOptions topts;
         topts.include_wall = false;  // strip wall stamps: diffable across runs
         // The cell key with '/' flattened to '_', e.g.
-        // VGG16_nvlink_s2r1m1_pool2_gpipe.trace.json.
+        // VGG16_nvlink_s2r1m1_pool2_1f1b.trace.json.
         std::string name = bench::cell_key(spec);
         std::replace(name.begin(), name.end(), '/', '_');
         const std::string path = std::string(trace_dir) + "/" + name + ".trace.json";

@@ -1,5 +1,5 @@
 // Declared sweep matrix for bench_sweep: the {net x grid geometry x link
-// spec x pool budget x schedule policy} cells one trajectory point records.
+// spec x pool budget} cells one trajectory point records.
 //
 // The matrix is data, not loops buried in a main(): the small tier is what
 // the CI perf-gate runs on every PR and what the committed BENCH_<n>.json
@@ -22,11 +22,11 @@ struct SweepCellSpec {
   int replicas = 1;      ///< replica width R
   int microbatches = 1;  ///< per replica column
   int pool_gb = 12;          ///< RuntimeOptions::device_capacity budget
-  std::string schedule;      ///< "gpipe" | "1f1b" | "-" (S == 1)
+  std::string schedule;      ///< "1f1b" (S > 1) | "-" (S == 1): a cell-key label
   bool peer_staging = false; ///< route pool evictions over idle P2P links
 };
 
-/// The cell's identity, e.g. "VGG16/nvlink/s2r1m4/pool12/gpipe": the
+/// The cell's identity, e.g. "VGG16/nvlink/s2r1m4/pool12/1f1b": the
 /// trajectory cell key without its "sweep/" prefix.
 inline std::string cell_key(const SweepCellSpec& s) {
   return s.net + "/" + s.link + "/s" + std::to_string(s.stages) + "r" +
@@ -66,15 +66,10 @@ inline std::vector<SweepCellSpec> sweep_matrix(const std::string& tier) {
     for (const std::string& link : links) {
       for (const Geometry& g : geometries) {
         for (int pool : pools_gb) {
-          // The schedule axis only exists once there is a pipeline to
-          // schedule; S == 1 cells carry the "-" placeholder.
-          std::vector<std::string> schedules =
-              g.stages > 1 ? std::vector<std::string>{"gpipe", "1f1b"}
-                           : std::vector<std::string>{"-"};
-          for (const std::string& sched : schedules) {
-            cells.push_back(
-                SweepCellSpec{net, link, g.stages, g.replicas, g.microbatches, pool, sched});
-          }
+          // Only a pipeline has a schedule to name; S == 1 cells carry the
+          // "-" placeholder.
+          cells.push_back(SweepCellSpec{net, link, g.stages, g.replicas, g.microbatches, pool,
+                                        g.stages > 1 ? "1f1b" : "-"});
         }
       }
     }
@@ -91,10 +86,7 @@ inline std::vector<SweepCellSpec> sweep_matrix(const std::string& tier) {
       tier == "small" ? std::vector<std::string>{"VGG16"}
                       : std::vector<std::string>{"VGG16", "ResNet50"};
   for (const std::string& net : demo_nets) {
-    for (const char* sched : {"gpipe", "1f1b"}) {
-      cells.push_back(SweepCellSpec{net, "nvlink", 2, 1, 1, 2, sched,
-                                    /*peer_staging=*/true});
-    }
+    cells.push_back(SweepCellSpec{net, "nvlink", 2, 1, 1, 2, "1f1b", /*peer_staging=*/true});
   }
   return cells;
 }

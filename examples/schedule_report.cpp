@@ -4,7 +4,7 @@
 //
 //   $ ./build/examples/schedule_report [network] [batch]
 //   $ ./build/examples/schedule_report [network] [batch] --csv
-//   $ ./build/examples/schedule_report [network] [batch] --pipeline S M [--schedule gpipe|1f1b]
+//   $ ./build/examples/schedule_report [network] [batch] --pipeline S M
 //   $ ./build/examples/schedule_report [network] [batch] --pipeline S M --trace out.json
 //   networks: AlexNet VGG16 VGG19 InceptionV4 ResNet50 ResNet101 ResNet152
 //
@@ -13,22 +13,23 @@
 // seconds that accrued during it — the raw material of the paper's
 // transfer/compute overlap figure (plot busy columns against compute).
 //
-// --pipeline runs the column-schedule engine over an S-stage pipeline at M
+// --pipeline runs the 1F1B column schedule over an S-stage pipeline at M
 // microbatches (simulated cluster) and breaks each stage's bubble into the
-// fill / steady / drain phases the engine stamps into StepTelemetry — the
-// 1F1B-vs-GPipe comparison surface. With no --schedule both policies print.
+// fill / steady / drain phases the engine stamps into StepTelemetry.
 //
 // --trace FILE (with --pipeline) additionally records the replay with
 // obs::TraceRecorder and exports a Perfetto-loadable Chrome-trace JSON.
-// When both policies run, each overwrites FILE — pass --schedule to keep a
-// specific one. trace_report is the richer tool (attribution, hybrid grid).
+// trace_report is the richer tool (attribution, hybrid grid).
 //
 // Bad arguments exit 2: a batch or --pipeline count that is not a whole
-// number >= 1, an unknown flag, network or schedule.
+// number >= 1, an unknown flag or network, or a pipeline the trainer
+// rejects (more stages than the net has cuts, a batch M does not divide).
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,56 +49,60 @@ namespace {
 
 using bench::mb;
 
-// One policy's pipeline run: per-stage busy time and phase-split bubble.
-void pipeline_phase_report(const std::string& name, int batch, int stages, int microbatches,
-                           dist::SchedulePolicy policy, const std::string& trace_path) {
+// The pipeline run: per-stage busy time and phase-split bubble. Returns the
+// exit code.
+int pipeline_phase_report(const std::string& name, int batch, int stages, int microbatches,
+                          const std::string& trace_path) {
   dist::HybridParallelConfig cfg;
   cfg.stages = stages;
   cfg.replicas = 1;
   cfg.microbatches = microbatches;
   cfg.global_batch = batch;
-  cfg.schedule = policy;
   cfg.cluster = sim::nvlink_cluster_spec(stages);
   cfg.train.iterations = 2;
   auto factory = [&](int b) { return bench::build_network(name, b); };
   core::RuntimeOptions opts = core::make_policy(core::PolicyPreset::kSuperNeurons, cfg.cluster.device);
   opts.real = false;
-  dist::HybridParallelTrainer pipe(factory, opts, cfg);
+  std::unique_ptr<dist::HybridParallelTrainer> pipe;
+  try {
+    pipe = std::make_unique<dist::HybridParallelTrainer>(factory, opts, cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "schedule_report: %s\n", e.what());
+    return 2;
+  }
   obs::TraceSession session;
-  if (!trace_path.empty()) pipe.attach_trace(&session);
-  auto rep = pipe.run();
+  if (!trace_path.empty()) pipe->attach_trace(&session);
+  auto rep = pipe->run();
   if (!trace_path.empty()) {
-    if (obs::write_chrome_trace(session, trace_path)) {
-      std::printf("wrote trace %s (%s)\n", trace_path.c_str(),
-                  dist::schedule_policy_name(policy));
-    } else {
+    if (!obs::write_chrome_trace(session, trace_path)) {
       std::fprintf(stderr, "failed to write trace %s\n", trace_path.c_str());
-      std::exit(1);
+      return 1;
     }
-    pipe.attach_trace(nullptr);
+    std::printf("wrote trace %s\n", trace_path.c_str());
+    pipe->attach_trace(nullptr);
   }
   const auto& agg = rep.stats.back();
   const auto& per_stage = rep.cell_stats.back();
 
-  std::printf("--- schedule %s: iter %.1f ms, bubble %.2f ms "
+  std::printf("--- schedule 1f1b: iter %.1f ms, bubble %.2f ms "
               "(fill %.2f / steady %.2f / drain %.2f)\n",
-              dist::schedule_policy_name(policy), agg.seconds * 1e3, agg.bubble_seconds * 1e3,
-              agg.bubble_fill_seconds * 1e3, agg.bubble_steady_seconds * 1e3,
-              agg.bubble_drain_seconds * 1e3);
+              agg.seconds * 1e3, agg.bubble_seconds * 1e3, agg.bubble_fill_seconds * 1e3,
+              agg.bubble_steady_seconds * 1e3, agg.bubble_drain_seconds * 1e3);
   util::Table t({"stage", "layers", "busy (ms)", "bubble fill (ms)", "steady (ms)",
                  "drain (ms)", "stash (MB)"});
   for (int s = 0; s < stages; ++s) {
     const auto& st = per_stage[static_cast<size_t>(s)][0];
-    const auto& spec = pipe.plan().stages[static_cast<size_t>(s)];
+    const auto& spec = pipe->plan().stages[static_cast<size_t>(s)];
     t.add_row({std::to_string(s), std::to_string(spec.end - spec.begin),
                util::format_double((st.seconds - st.bubble_seconds) * 1e3, 2),
                util::format_double(st.bubble_fill_seconds * 1e3, 2),
                util::format_double(st.bubble_steady_seconds * 1e3, 2),
                util::format_double(st.bubble_drain_seconds * 1e3, 2),
-               mb(pipe.stash_bytes(s))});
+               mb(pipe->stash_bytes(s))});
   }
   t.print();
   std::printf("\n");
+  return 0;
 }
 
 }  // namespace
@@ -105,7 +110,6 @@ void pipeline_phase_report(const std::string& name, int batch, int stages, int m
 int main(int argc, char** argv) {
   bool csv = false;
   int pipe_stages = 0, pipe_microbatches = 0;
-  std::string sched_arg = "both";
   std::string trace_path;
   std::vector<std::string> pos;
   for (int i = 1; i < argc; ++i) {
@@ -123,13 +127,6 @@ int main(int argc, char** argv) {
       pipe_microbatches =
           static_cast<int>(bench::parse_count("--pipeline", argv[i + 2], 1, INT_MAX));
       i += 2;
-    } else if (std::strcmp(argv[i], "--schedule") == 0) {
-      need(1);
-      sched_arg = argv[++i];
-      if (sched_arg != "gpipe" && sched_arg != "1f1b") {
-        std::fprintf(stderr, "--schedule wants gpipe or 1f1b, got \"%s\"\n", sched_arg.c_str());
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       need(1);
       trace_path = argv[++i];
@@ -149,15 +146,7 @@ int main(int argc, char** argv) {
   if (pipe_stages > 0) {
     std::printf("=== %s (batch %d): %d-stage pipeline, %d microbatches ===\n", name.c_str(),
                 batch, pipe_stages, pipe_microbatches);
-    if (sched_arg == "gpipe" || sched_arg == "both") {
-      pipeline_phase_report(name, batch, pipe_stages, pipe_microbatches,
-                            dist::SchedulePolicy::kGPipe, trace_path);
-    }
-    if (sched_arg == "1f1b" || sched_arg == "both") {
-      pipeline_phase_report(name, batch, pipe_stages, pipe_microbatches,
-                            dist::SchedulePolicy::k1F1B, trace_path);
-    }
-    return 0;
+    return pipeline_phase_report(name, batch, pipe_stages, pipe_microbatches, trace_path);
   }
   if (!trace_path.empty()) {
     std::fprintf(stderr, "--trace requires --pipeline (see trace_report for more)\n");

@@ -7,8 +7,8 @@
 // reconciliation or flow-pairing failure, so CI can gate on it.
 //
 //   $ ./build/trace_report [network] [--stages S] [--replicas R]
-//         [--microbatches M] [--batch B] [--schedule gpipe|1f1b]
-//         [--iters N] [--pool-gb G] [--peer-staging]
+//         [--microbatches M] [--batch B] [--iters N] [--pool-gb G]
+//         [--peer-staging]
 //         [--trace out.json] [--metrics out.json]
 //         [--profile-out prof.json] [--profile-in prof.json]
 //
@@ -17,9 +17,9 @@
 // cover the peer_stage/peer_fetch spans and their evict->stage->fetch flow
 // arrows on the pool-constrained demo geometry.
 //
-// The run is an S x R dist::HybridParallelTrainer grid: replicas > 1 adds
-// per-stage row all-reduces (the exposed-collective surface); replicas == 1
-// is the plain S-stage pipeline.
+// The run is an S x R dist::HybridParallelTrainer grid under the 1F1B
+// column schedule: replicas > 1 adds per-stage row all-reduces (the
+// exposed-collective surface); replicas == 1 is the plain S-stage pipeline.
 // --trace exports the Perfetto-loadable Chrome-trace JSON (with wall-clock
 // stamps); --metrics exports the analyzer's counters /
 // gauges / stall histogram through the shared util::JsonWriter path.
@@ -35,13 +35,17 @@
 // (TraceRecorder::dropped() > 0): attribution over a truncated ring would
 // reconcile against nothing.
 //
-// Integer flags must be whole integers >= 1 (--pool-gb >= 0) and --schedule
-// one of gpipe / 1f1b; anything else exits 2 with a usage error.
+// Integer flags must be whole integers >= 1 (--pool-gb >= 0); anything else,
+// and a grid the trainer rejects (more stages than the net has cuts, a
+// batch that does not split evenly over replicas and microbatches), exits 2
+// with a usage error.
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -129,25 +133,22 @@ std::string cuts_str(const std::vector<int>& cuts) {
 /// observed cost prefixes (partition_at on the profile-guided partitioner),
 /// so "max-stage" compares what the profile says each cut actually costs.
 void print_partition_comparison(const std::string& name, int microbatch, int stages,
-                                dist::SchedulePolicy policy, const sim::ClusterSpec& cluster,
+                                int microbatches, const sim::ClusterSpec& cluster,
                                 uint64_t device_capacity, const obs::CostProfile& profile) {
   auto net = bench::build_network(name, microbatch);
   if (!net->finalized()) net->finalize();
-  const graph::StageRecompute rc = policy == dist::SchedulePolicy::k1F1B
-                                       ? graph::StageRecompute::kAllButLast
-                                       : graph::StageRecompute::kNone;
   graph::NetPartitioner analytic(*net, cluster.device, cluster.link, device_capacity);
   graph::NetPartitioner observed(
       *net, cluster.device, cluster.link, device_capacity,
       [&profile](const std::string& layer, double* fwd, double* bwd) {
         return profile.layer_seconds(layer, fwd, bwd);
       });
-  const auto plan_a = analytic.partition(stages, rc);
-  const auto plan_o = observed.partition(stages, rc);
+  const auto plan_a = analytic.partition(stages, microbatches);
+  const auto plan_o = observed.partition(stages, microbatches);
   const double a_obs = observed.partition_at(plan_a.cuts).max_stage_seconds;
   const double o_obs = plan_o.max_stage_seconds;
-  std::printf("\nprofile-guided partition (%d stages, %s):\n", stages,
-              dist::schedule_policy_name(policy));
+  std::printf("\nprofile-guided partition (%d stages, %d microbatches):\n", stages,
+              microbatches);
   std::printf("  analytic cuts %-14s -> observed max-stage %s ms\n",
               cuts_str(plan_a.cuts).c_str(), ms(a_obs).c_str());
   std::printf("  profile  cuts %-14s -> observed max-stage %s ms  (%s)\n",
@@ -161,7 +162,6 @@ int main(int argc, char** argv) {
   std::string name = "VGG16";
   int stages = 2, replicas = 2, microbatches = 4, batch = 32, iters = 2, pool_gb = 0;
   bool peer_staging = false;
-  std::string sched_arg = "1f1b";
   std::string trace_path, metrics_path, profile_out, profile_in;
   for (int i = 1; i < argc; ++i) {
     auto next_int = [&](int* out, uint64_t min) {
@@ -186,12 +186,6 @@ int main(int argc, char** argv) {
       next_int(&pool_gb, 0);
     } else if (std::strcmp(argv[i], "--peer-staging") == 0) {
       peer_staging = true;
-    } else if (std::strcmp(argv[i], "--schedule") == 0 && i + 1 < argc) {
-      sched_arg = argv[++i];
-      if (sched_arg != "gpipe" && sched_arg != "1f1b") {
-        std::fprintf(stderr, "--schedule wants gpipe or 1f1b, got \"%s\"\n", sched_arg.c_str());
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
@@ -208,13 +202,10 @@ int main(int argc, char** argv) {
     }
   }
   bench::require_network(name);
-  const dist::SchedulePolicy policy =
-      sched_arg == "gpipe" ? dist::SchedulePolicy::kGPipe : dist::SchedulePolicy::k1F1B;
   auto factory = [&](int b) { return bench::build_network(name, b); };
 
-  std::printf("=== trace_report: %s, %dx%d grid, %d microbatches, %s, %d iters ===\n",
-              name.c_str(), stages, replicas, microbatches,
-              dist::schedule_policy_name(policy), iters);
+  std::printf("=== trace_report: %s, %dx%d grid, %d microbatches, %d iters ===\n",
+              name.c_str(), stages, replicas, microbatches, iters);
 
   // Profile-guided partitioning: load observed costs and hand them to the
   // trainer config, so the traced run below already uses the observed cuts.
@@ -243,19 +234,24 @@ int main(int argc, char** argv) {
     cfg.replicas = replicas;
     cfg.microbatches = microbatches;
     cfg.global_batch = batch;
-    cfg.schedule = policy;
     cfg.cluster = sim::nvlink_cluster_spec(stages * replicas);
     cfg.train.iterations = iters;
     cfg.peer_staging = peer_staging;
     if (have_profile) cfg.cost_profile = &profile;
     const core::RuntimeOptions opts = sim_options(cfg.cluster, pool_gb);
-    if (have_profile) {
-      print_partition_comparison(name, batch / replicas / microbatches, stages, policy,
-                                 cfg.cluster, opts.device_capacity, profile);
+    std::unique_ptr<dist::HybridParallelTrainer> hyb;
+    try {
+      hyb = std::make_unique<dist::HybridParallelTrainer>(factory, opts, cfg);
+      if (have_profile) {
+        print_partition_comparison(name, hyb->microbatch_size(), stages, microbatches,
+                                   cfg.cluster, opts.device_capacity, profile);
+      }
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "trace_report: %s\n", e.what());
+      return 2;
     }
-    dist::HybridParallelTrainer hyb(factory, opts, cfg);
-    hyb.attach_trace(&session);
-    auto rep = hyb.run();
+    hyb->attach_trace(&session);
+    auto rep = hyb->run();
     for (const auto& st : rep.stats) {
       bubble_total += st.bubble_seconds;
       bubble_fill += st.bubble_fill_seconds;
@@ -263,7 +259,7 @@ int main(int argc, char** argv) {
       bubble_drain += st.bubble_drain_seconds;
     }
     exposed_last = rep.stats.back().allreduce_exposed_seconds;
-    hyb.attach_trace(nullptr);
+    hyb->attach_trace(nullptr);
   }
 
   obs::TraceAnalyzer an(session);

@@ -72,8 +72,8 @@ class Runtime {
   // A pipeline stage cannot run forward+backward atomically: its backward
   // depends on a gradient the NEXT stage produces from this stage's forward
   // output. These split train_iteration at the forward/backward boundary.
-  // forward_pass may be called repeatedly without a backward (GPipe fill:
-  // later microbatches overwrite earlier activations; the drain phase
+  // forward_pass may be called repeatedly without a backward (1F1B warmup:
+  // later microbatches overwrite earlier activations; a later backward
   // re-runs forward_pass to rematerialize them); each backward_pass zeroes
   // gradients at first definition, so per-microbatch gradients come out
   // independent and the caller combines them pairwise. Neither advances the

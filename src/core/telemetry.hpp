@@ -107,9 +107,10 @@ struct IterationStats {
   double allreduce_seconds = 0.0;  ///< device time inside the gradient all-reduce
 
   /// All-reduce virtual time NOT hidden behind the pipeline drain: how far
-  /// past the grid-wide drain end the last row's collective ran (aggregate
-  /// stats only; dist::HybridParallelTrainer). Bucketed-async 1F1B shrinks
-  /// this — the overlap win the hybrid bench gates on.
+  /// past the grid-wide drain end (the last cell's last backward) the last
+  /// row's collective ran, hop sends charged after that backward included
+  /// (aggregate stats only; dist::HybridParallelTrainer). Bucketed async
+  /// issue shrinks it by overlapping the drain.
   double allreduce_exposed_seconds = 0.0;
 
   // Pipeline telemetry, filled by dist::HybridParallelTrainer (zero
@@ -118,8 +119,8 @@ struct IterationStats {
   double bubble_seconds = 0.0;  ///< compute time stalled waiting on a pipeline
                                 ///< neighbor (fill/drain bubbles)
   /// bubble_seconds split by schedule phase (fill / steady / drain), so the
-  /// receiver-side waits are attributable: GPipe's bubble is all ramp,
-  /// 1F1B's steady state should be near bubble-free once warmed up.
+  /// receiver-side waits are attributable: the fill and drain ramps vs the
+  /// 1F1B steady state, which should be near bubble-free once warmed up.
   double bubble_fill_seconds = 0.0;
   double bubble_steady_seconds = 0.0;
   double bubble_drain_seconds = 0.0;

@@ -174,7 +174,6 @@ class UnifiedTensorPool {
                             uint64_t tag);
 
   void set_staging_group(PeerStagingGroup* g) { group_ = g; }
-  PeerStagingGroup* staging_group() const { return group_; }
   sim::Machine& machine() { return machine_; }
 
   // --- components & counters ------------------------------------------------

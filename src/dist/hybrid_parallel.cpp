@@ -67,10 +67,8 @@ HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
       }()),
       plan_([&] {
         // Memory-aware partition: every stage must fit the per-device pool
-        // even at the full-offload floor. 1F1B never re-materializes the
-        // last stage, so its balance discounts that stage's remat forward
-        // (StageRecompute::kAllButLast); GPipe keeps the legacy weighting
-        // and therefore the legacy cuts.
+        // even at the full-offload floor. The balance charges the forwards
+        // the schedule re-materializes, which depend on M.
         // Profile-guided balance: a loaded CostProfile's observed medians
         // replace the roofline per layer (null = analytic, legacy cuts).
         graph::LayerCostFn observed;
@@ -81,10 +79,7 @@ HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
         }
         graph::NetPartitioner part(*full_, cfg_.cluster.device, cfg_.cluster.link,
                                    base.device_capacity, std::move(observed));
-        const graph::StageRecompute rc = cfg_.schedule == SchedulePolicy::k1F1B
-                                             ? graph::StageRecompute::kAllButLast
-                                             : graph::StageRecompute::kNone;
-        return cfg_.boundaries.empty() ? part.partition(cfg_.stages, rc)
+        return cfg_.boundaries.empty() ? part.partition(cfg_.stages, cfg_.microbatches)
                                        : part.partition_at(cfg_.boundaries);
       }()),
       cluster_(cfg_.cluster),
@@ -177,22 +172,20 @@ HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
     }
   }
 
-  // Fused-gradient bucket counts (k1F1B's async all-reduce granularity; the
+  // Fused-gradient bucket counts (the async all-reduce granularity; the
   // engine emits a kBucketReady per bucket after each stage's last backward).
+  // S = 1 has no drain for buckets to overlap: one bucket.
   buckets_.assign(static_cast<size_t>(S), 1);
   for (int s = 0; s < S; ++s) {
     const uint64_t bytes = grad_elems_[static_cast<size_t>(s)] * sizeof(float);
-    if (cfg_.bucket_bytes > 0 && bytes > 0) {
+    if (S > 1 && cfg_.bucket_bytes > 0 && bytes > 0) {
       buckets_[static_cast<size_t>(s)] =
           static_cast<int>((bytes + cfg_.bucket_bytes - 1) / cfg_.bucket_bytes);
     }
   }
-  sched_ = std::make_unique<ScheduleEngine>(
-      cfg_.schedule, S, cfg_.microbatches,
-      cfg_.schedule == SchedulePolicy::k1F1B ? buckets_ : std::vector<int>{});
+  sched_ = std::make_unique<ScheduleEngine>(S, cfg_.microbatches, buckets_);
 
-  // Stash sized to the engine's real peak: all M slots under GPipe, at most
-  // min(M, S-s+1) under 1F1B.
+  // Stash sized to the engine's real peak: at most min(M, S-s+1) slots.
   if (real_) {
     for (int s = 1; s < S; ++s) {
       for (int r = 0; r < R; ++r) {
@@ -240,8 +233,7 @@ uint64_t HybridParallelTrainer::stash_bytes(int stage) const {
          static_cast<uint64_t>(in_t_[c]->shape().elems()) * sizeof(float);
 }
 
-void HybridParallelTrainer::send_activation(int s, int r, int m, int slot) {
-  (void)m;
+void HybridParallelTrainer::send_activation(int s, int r, int slot) {
   const size_t c = cell(s, r), cn = cell(s + 1, r);
   const uint64_t tag = next_tag_++;
   const float* src = device_ptr(s, r, out_t_[c]);
@@ -391,10 +383,9 @@ HybridParallelReport HybridParallelTrainer::run() {
     // --- schedule replay: the engine's op list drives every replica column.
     // Columns are independent until the per-stage all-reduce; each op
     // executes across r = 0..R-1 (disjoint links) before the next, which
-    // keeps the schedule deterministic and — under kGPipe — reproduces the
-    // legacy (m, s, r) fill and (m desc, s desc, r) drain nests byte for
-    // byte.
+    // keeps the schedule deterministic.
     std::vector<std::vector<AllreduceHandle>> ar_handles(static_cast<size_t>(S));
+    std::vector<double> bwd_end(cells, 0.0);  ///< [cell] end of its last backward
     for (const ScheduleOp& op : sched_->ops()) {
       const int s = op.stage, m = op.microbatch;
       const size_t ph = static_cast<size_t>(op.phase);
@@ -406,8 +397,8 @@ HybridParallelReport HybridParallelTrainer::run() {
             runtimes_[c]->set_schedule_phase(static_cast<int>(op.phase), m);
             // Physical write-after-read gate: the forward overwrites out_t_,
             // which an in-flight activation send's DMA read may still be
-            // feeding (1F1B only; a no-op under GPipe). The worker queue is
-            // FIFO, so landing the newest outstanding tag lands them all.
+            // feeding. The worker queue is FIFO, so landing the newest
+            // outstanding tag lands them all.
             // Wall-clock only: virtual time and the schedule are untouched.
             if (s + 1 < S && !act_q_[cell(s + 1, r)].empty()) {
               engine(s, r).await_landing(core::TransferDir::kP2P,
@@ -427,7 +418,7 @@ HybridParallelReport HybridParallelTrainer::run() {
               // input's authoritative bytes live upstream.
               runtimes_[c]->mark_external_pending(in_t_[c]);
             }
-            if (s + 1 < S) send_activation(s, r, m, sched_->stash_slot(s + 1, m));
+            if (s + 1 < S) send_activation(s, r, sched_->stash_slot(s + 1, m));
             retire_streams(false);
             if (auto* rec = grid_.machine(s, r).trace()) {
               char opname[16];
@@ -475,7 +466,7 @@ HybridParallelReport HybridParallelTrainer::run() {
             }
             if (real_) {
               // Snapshot this microbatch's gradients; combined pairwise at
-              // the stage's kBucketReady (k1F1B) or post-drain (kGPipe).
+              // the stage's first kBucketReady.
               auto& snap = grad_stash_[c][static_cast<size_t>(m)];
               uint64_t off = 0;
               for (tensor::Tensor* g : grads_[c]) {
@@ -484,6 +475,7 @@ HybridParallelReport HybridParallelTrainer::run() {
               }
             }
             retire_streams(false);
+            bwd_end[c] = grid_.machine(s, r).now();
             if (auto* rec = grid_.machine(s, r).trace()) {
               char opname[16];
               std::snprintf(opname, sizeof(opname), "B%d", m);
@@ -494,11 +486,11 @@ HybridParallelReport HybridParallelTrainer::run() {
           break;
         }
         case ScheduleOpKind::kBucketReady: {
-          // Stage s's last backward just retired (k1F1B only): combine its
-          // microbatch gradients and issue this bucket's row all-reduce
-          // ASYNCHRONOUSLY — upstream stages keep draining while the
-          // collective's link/add chain plays out in virtual time.
-          // Consecutive buckets chain on the row Communicator.
+          // Stage s's last backward just retired: combine its microbatch
+          // gradients and issue this bucket's row all-reduce ASYNCHRONOUSLY
+          // — upstream stages keep draining while the collective's link/add
+          // chain plays out in virtual time. Consecutive buckets chain on
+          // the row Communicator.
           const uint64_t elems = grad_elems_[static_cast<size_t>(s)];
           if (op.bucket == 0 && real_ && elems > 0) {
             for (int r = 0; r < R; ++r) combine_microbatch_grads(s, r);
@@ -540,41 +532,28 @@ HybridParallelReport HybridParallelTrainer::run() {
     retire_streams(true);
     for (size_t c = 0; c < cells; ++c) runtimes_[c]->set_schedule_phase(-1, -1);
 
-    // Drain end: the moment the last cell finishes its column schedule. Any
-    // all-reduce virtual time past this point is EXPOSED (not overlapped).
+    // Drain end: the moment the last cell finishes its last backward. Any
+    // all-reduce virtual time past this point is EXPOSED (not overlapped) —
+    // including hop sends a bucket issue charged to its sender's compute
+    // stream after that backward.
     double drain_end = 0.0;
     for (int s = 0; s < S; ++s) {
       for (int r = 0; r < R; ++r) {
-        const double t = grid_.machine(s, r).now();
+        const double t = bwd_end[cell(s, r)];
         drain_end = std::max(drain_end, t);
         if (auto* rec = grid_.machine(s, r).trace()) rec->record_marker("drain-end", t);
       }
     }
     double ar_end_max = drain_end;
 
-    // --- per-stage update: pairwise microbatch combine, replica all-reduce,
-    // SGD. Replica r's M snapshots combine (binary counter, ascending m)
-    // into its shard subtree; the row all-reduce (halving-doubling for
-    // power-of-two R) combines the R subtrees in ascending rank order —
-    // together exactly the full-batch per-sample pairwise tree when b, M
-    // and R are powers of two (util/pairwise.hpp). k1F1B issued its buckets
-    // inside the op loop; kGPipe issues each stage's fused all-reduce now.
-    if (cfg_.schedule == SchedulePolicy::kGPipe) {
-      for (int s = 0; s < S; ++s) {
-        const uint64_t elems = grad_elems_[static_cast<size_t>(s)];
-        std::vector<float*> bufs(static_cast<size_t>(R), nullptr);
-        if (real_ && elems > 0) {
-          for (int r = 0; r < R; ++r) {
-            combine_microbatch_grads(s, r);
-            bufs[static_cast<size_t>(r)] = fused_[cell(s, r)].data();
-          }
-        }
-        ar_handles[static_cast<size_t>(s)].push_back(
-            comms_[static_cast<size_t>(s)]->all_reduce_async(bufs, elems));
-      }
-    }
-    // Settle the virtual completions (await) and measure exposure BEFORE any
-    // SGD advances the clocks (stage rows are disjoint machine sets).
+    // --- per-stage update. Replica r's M snapshots combined (binary
+    // counter, ascending m) into its shard subtree at the stage's first
+    // kBucketReady; the row all-reduce (halving-doubling for power-of-two R)
+    // combines the R subtrees in ascending rank order — together exactly the
+    // full-batch per-sample pairwise tree when b, M and R are powers of two
+    // (util/pairwise.hpp). Settle the virtual completions (await) and
+    // measure exposure BEFORE any SGD advances the clocks (stage rows are
+    // disjoint machine sets).
     std::vector<double> allreduce_max(static_cast<size_t>(S), 0.0);
     for (int s = 0; s < S; ++s) {
       for (AllreduceHandle& h : ar_handles[static_cast<size_t>(s)]) {

@@ -15,31 +15,25 @@
 //
 // Each global batch is split across the R replica columns (contiguous
 // shards, like data parallelism), and each shard into M microbatches driven
-// through the column schedule of dist::ScheduleEngine (like pipeline
-// parallelism). Activations and gradients stream between corresponding
-// stage replicas — cell (s, r) talks only to (s±1, r) — via
-// TransferEngine::submit_p2p; a cell's forward for microbatch m is gated on
-// the virtual landing event of that activation, so fill ramps and their
-// bubbles fall out of virtual time. The SchedulePolicy picks the op order:
+// through the 1F1B column schedule of dist::ScheduleEngine (like pipeline
+// parallelism): warmup forwards, one-forward-one-backward steady state
+// (backwards retire in ascending microbatch order), then cooldown. A stage
+// stashes at most min(M, S-s+1) microbatch inputs and re-materializes a
+// forward from its stash before each backward that needs it. Activations
+// and gradients stream between corresponding stage replicas — cell (s, r)
+// talks only to (s±1, r) — via TransferEngine::submit_p2p; a cell's
+// forward for microbatch m is gated on the virtual landing event of that
+// activation, so fill ramps and their bubbles fall out of virtual time.
 //
-//   kGPipe: fill (every stage forwards microbatch 0..M-1), then drain
-//          (microbatches retire newest-first; a stage re-materializes older
-//          forwards from its stashed boundary input, receives the output
-//          gradient, runs backward and streams the input gradient
-//          upstream). After the drain, each stage's R replicas all-reduce
-//          their fused gradients synchronously.
-//   k1F1B: PipeDream-flush — warmup forwards, one-forward-one-backward
-//          steady state (backwards retire in ascending microbatch order),
-//          then cooldown. Smaller bubble, and the stash holds at most
-//          min(M, S-s+1) microbatch inputs instead of all M. Each stage's
-//          fused gradient all-reduces in buckets, issued asynchronously as
-//          its last microbatch retires, overlapping the upstream drain.
-//
-// The all-reduce runs over a SUB-GROUP Communicator spanning just that
-// stage's row — S independent collectives on disjoint links — and then
-// every cell steps SGD. S=1 is microbatched data parallelism (no P2P
-// streams, one row all-reduce); R=1 is the plain pipeline (the one-rank
-// collective is a no-op).
+// Each stage's fused gradient all-reduces in buckets over a SUB-GROUP
+// Communicator spanning just that stage's row — S independent collectives
+// on disjoint links. The buckets issue asynchronously as the stage's last
+// microbatch retires, overlapping the stages still draining below it; with
+// S = 1 there is no drain to overlap and the gradient is one bucket. Every
+// cell then steps SGD. The drain ends at the last cell's last backward;
+// collective time past it is the exposed all-reduce. S=1 is microbatched
+// data parallelism (no P2P streams); R=1 is the plain pipeline (the
+// one-rank collective is a no-op).
 //
 // Bit-parity: per-microbatch gradients are snapshotted and combined with
 // the binary-counter pairwise machinery (util/pairwise.hpp) in ascending
@@ -49,11 +43,11 @@
 // power-of-two R) combines the R subtrees in ascending rank order — the
 // same binary-counter pairwise tree a single device builds. So S x R x M
 // training is bit-identical (losses AND weights) to single-device training
-// on the combined batch for power-of-two microbatch geometry, under both
-// policies — the paper's "scheduling never changes training results"
-// invariant, extended across BOTH cluster axes at once. The restriction:
-// per-sample kernels only (no BatchNorm batch statistics, no dropout —
-// both couple results to a sample's position inside the local batch).
+// on the combined batch for power-of-two microbatch geometry — the paper's
+// "scheduling never changes training results" invariant, extended across
+// BOTH cluster axes at once. The restriction: per-sample kernels only (no
+// BatchNorm batch statistics, no dropout — both couple results to a
+// sample's position inside the local batch).
 //
 // Determinism: the trainer is single-threaded; every cross-cell dependency
 // is an explicit virtual event (receivers machine-wait it; wall-clock bytes
@@ -85,12 +79,12 @@ struct HybridParallelConfig {
   int replicas = 2;            ///< replication width R (grid columns)
   int microbatches = 2;        ///< per replica column; must divide the shard
   int global_batch = 8;        ///< split across replicas, then microbatches
-  SchedulePolicy schedule = SchedulePolicy::kGPipe;
-  /// k1F1B only: a stage's fused gradient splits into ceil(bytes /
+  /// Unread: 1F1B is the only column schedule.
+  SchedulePolicy schedule = SchedulePolicy::k1F1B;
+  /// With S > 1, a stage's fused gradient splits into ceil(bytes /
   /// bucket_bytes) buckets whose row all-reduces issue asynchronously as
   /// the stage's last microbatch retires, overlapping the remaining drain
-  /// (DDP-style bucketing). kGPipe issues each stage's one fused
-  /// all-reduce after the drain regardless.
+  /// (DDP-style bucketing). With S = 1 it is one bucket.
   uint64_t bucket_bytes = 4ull << 20;
   /// Explicit route cut positions (NetPartitioner::partition_at); empty =
   /// cost- and memory-balanced automatic partition.
@@ -153,8 +147,6 @@ class HybridParallelTrainer {
   graph::Net& stage_net(int stage, int replica) { return *stage_nets_[cell(stage, replica)]; }
   sim::Cluster& cluster() { return cluster_; }
   sim::GridView& grid() { return grid_; }
-  Communicator& stage_communicator(int stage) { return *comms_[static_cast<size_t>(stage)]; }
-  core::PeerStagingGroup& staging_group() { return staging_group_; }
 
   /// Attach a trace session: one recorder per grid device (ids stamped with
   /// the cell's stage/replica), hooked into the cell machines. Pass nullptr
@@ -174,9 +166,9 @@ class HybridParallelTrainer {
   float* device_ptr(int s, int r, const tensor::Tensor* t) {
     return runtimes_[cell(s, r)]->tensor_pool().device_ptr(t);
   }
-  /// Stream cell (s, r)'s boundary activation of microbatch `m` down its
-  /// column into the successor cell's stash slot `slot`.
-  void send_activation(int s, int r, int m, int slot);
+  /// Stream cell (s, r)'s boundary activation down its column into the
+  /// successor cell's stash slot `slot`.
+  void send_activation(int s, int r, int slot);
   /// Gate cell (s, r)'s forward on the activation landing; returns the
   /// compute-stall delta (the bubble share of this wait). `phase`/`m` label
   /// the recorded stall span (SchedulePhase as int; trace-only).
@@ -218,13 +210,11 @@ class HybridParallelTrainer {
   std::vector<tensor::Tensor*> in_grad_t_;   ///< cell (s,r): input gradient, streamed to (s-1,r)
   /// Cell (s,r)'s stashed boundary inputs, one per live stash SLOT (sized
   /// by ScheduleEngine::peak_stash_slots) — both the P2P landing site and
-  /// the re-materialization source (real mode). Slot == microbatch under
-  /// GPipe.
+  /// the re-materialization source (real mode).
   std::vector<std::vector<std::vector<float>>> stash_;  ///< [cell][slot]
 
   /// In-flight (event, tag) FIFOs per cell link: sends push, receives pop —
-  /// a link's transfers are consumed in ascending microbatch order under
-  /// both policies.
+  /// a link's transfers are consumed in ascending microbatch order.
   std::vector<std::deque<std::pair<sim::Event, uint64_t>>> act_q_, grad_q_;
   std::vector<std::pair<size_t, uint64_t>> in_flight_;  ///< (sender cell, tag) to retire
 
@@ -234,9 +224,9 @@ class HybridParallelTrainer {
   std::vector<int> buckets_;  ///< [stage] fused-gradient bucket count
 
   /// Param-grad tensors per cell in net order (identical across a stage's
-  /// replicas), per-microbatch gradient snapshots combined pairwise at drain
-  /// end, and the fused flat buffers the per-stage all-reduce runs over
-  /// (real mode).
+  /// replicas), per-microbatch gradient snapshots combined pairwise at the
+  /// stage's first kBucketReady, and the fused flat buffers the per-stage
+  /// all-reduce runs over (real mode).
   std::vector<std::vector<tensor::Tensor*>> grads_;          ///< [cell]
   std::vector<uint64_t> grad_elems_;                         ///< [stage]
   std::vector<std::vector<std::vector<float>>> grad_stash_;  ///< [cell][microbatch]

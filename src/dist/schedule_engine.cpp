@@ -4,18 +4,8 @@
 
 namespace sn::dist {
 
-const char* schedule_policy_name(SchedulePolicy p) {
-  switch (p) {
-    case SchedulePolicy::kGPipe: return "gpipe";
-    case SchedulePolicy::k1F1B: return "1f1b";
-  }
-  return "?";
-}
-
-ScheduleEngine::ScheduleEngine(SchedulePolicy policy, int stages, int microbatches,
-                               std::vector<int> buckets)
-    : policy_(policy), stages_(stages), microbatches_(microbatches),
-      buckets_(std::move(buckets)) {
+ScheduleEngine::ScheduleEngine(int stages, int microbatches, std::vector<int> buckets)
+    : stages_(stages), microbatches_(microbatches), buckets_(std::move(buckets)) {
   if (stages_ < 1) throw std::invalid_argument("schedule: stages >= 1");
   if (microbatches_ < 1) throw std::invalid_argument("schedule: microbatches >= 1");
   if (!buckets_.empty()) {
@@ -26,40 +16,8 @@ ScheduleEngine::ScheduleEngine(SchedulePolicy policy, int stages, int microbatch
       if (b < 1) throw std::invalid_argument("schedule: bucket counts >= 1");
     }
   }
-  if (policy_ == SchedulePolicy::kGPipe) {
-    emit_gpipe();
-  } else {
-    emit_1f1b();
-  }
+  emit_1f1b();
   assign_stash_slots();
-}
-
-void ScheduleEngine::emit_gpipe() {
-  const int S = stages_, M = microbatches_;
-  // Exactly the trainers' historical loop nest: fill sweeps (m, s) ascending,
-  // drain retires (m, s) descending. The last microbatch's activations are
-  // still resident when its backward runs; every older backward recomputes.
-  for (int m = 0; m < M; ++m) {
-    for (int s = 0; s < S; ++s) {
-      ScheduleOp op;
-      op.kind = ScheduleOpKind::kForward;
-      op.stage = s;
-      op.microbatch = m;
-      op.phase = SchedulePhase::kFill;
-      ops_.push_back(op);
-    }
-  }
-  for (int m = M - 1; m >= 0; --m) {
-    for (int s = S - 1; s >= 0; --s) {
-      ScheduleOp op;
-      op.kind = ScheduleOpKind::kBackward;
-      op.stage = s;
-      op.microbatch = m;
-      op.recompute = m < M - 1;
-      op.phase = SchedulePhase::kDrain;
-      ops_.push_back(op);
-    }
-  }
 }
 
 void ScheduleEngine::emit_1f1b() {
@@ -159,7 +117,7 @@ void ScheduleEngine::assign_stash_slots() {
   // Interval walk: a stage's slot for microbatch m is live from the send
   // (the forward at stage s-1, whose submit starts writing the slot) until
   // the backward at stage s (whose re-materialization reads it last).
-  // Lowest-free-slot allocation; GPipe degenerates to slot == m.
+  // Lowest-free-slot allocation.
   std::vector<std::vector<bool>> in_use(static_cast<size_t>(S));
   for (auto& v : in_use) v.assign(static_cast<size_t>(M), false);
   for (const ScheduleOp& op : ops_) {

@@ -1,31 +1,25 @@
-// dist::ScheduleEngine — the shared column-schedule engine behind the
-// pipeline and hybrid trainers.
+// dist::ScheduleEngine — the column-schedule engine behind the hybrid
+// trainer.
 //
-// Both trainers drive the same abstract machine: S pipeline stages, M
+// The trainer drives one abstract machine: S pipeline stages, M
 // microbatches per column, activations streaming down stage links and
-// gradients streaming back up. What differs between scheduling policies is
-// only the ORDER of per-stage forward/backward ops (and therefore how many
-// microbatch inputs a stage must keep stashed at once). The engine emits
-// that order as a flat, single-threaded op list the trainers replay
-// verbatim, binding each op to Runtime::forward_pass / backward_pass plus
-// TransferEngine::submit_p2p streaming:
+// gradients streaming back up. The engine emits the ORDER of per-stage
+// forward/backward ops as a flat, single-threaded op list the trainer
+// replays verbatim, binding each op to Runtime::forward_pass /
+// backward_pass plus TransferEngine::submit_p2p streaming.
 //
-//   * kGPipe — fill then drain. Forwards sweep m ascending through every
-//     stage; backwards retire m descending, newest first. A stage stashes
-//     ALL M boundary inputs; every non-final backward re-materializes its
-//     forward first (GPipe re-materialization). The emitted list is exactly
-//     the loop nest the trainers ran before the engine existed — byte-
-//     identical schedules, slot-identical stash layout.
-//   * k1F1B — PipeDream-flush. Stage s runs w_s = min(M, S-1-s) warmup
-//     forwards, then alternates one-forward-one-backward (backwards retire
-//     m ASCENDING), then w_s cooldown backwards. The bubble shrinks (stage
-//     S-1 never idles after its first activation arrives) and so does the
-//     stash: at most min(M, S-s+1) microbatch inputs are ever live per
-//     stage, versus GPipe's M. Backwards retiring ascending does not change
-//     numerics — the trainers snapshot each microbatch's gradients and
-//     combine them with the ascending-m binary-counter pairwise tree
-//     (util/pairwise.hpp) regardless of execution order, so the bit-parity
-//     invariant holds under both policies.
+// The one schedule is PipeDream-flush (1F1B; Narayanan et al., ICML'21).
+// Stage s runs w_s = min(M, S-1-s) warmup forwards, then alternates
+// one-forward-one-backward (backwards retire m ASCENDING), then w_s
+// cooldown backwards. Stage S-1 never idles after its first activation
+// arrives, and at most min(M, S-s+1) microbatch inputs are ever live per
+// stage. Every backward of a stage below S-1 re-materializes its forward
+// from the stashed input when M > 1 (a newer forward or an older backward
+// ran in between); at M = 1 no backward does. Backwards retiring
+// ascending does not change numerics — the trainer snapshots each
+// microbatch's gradients and combines them with the ascending-m
+// binary-counter pairwise tree (util/pairwise.hpp) regardless of execution
+// order.
 //
 // The global interleaving is a deterministic greedy round-robin: repeatedly
 // scan stages in ascending order and emit each stage's next op when its
@@ -37,17 +31,13 @@
 // index with an interval walk over the emitted list — a slot is live from
 // the producing send (the forward at stage s-1) until the backward at stage
 // s retires it; allocation is lowest-free-slot. peak_stash_slots() is what
-// the trainers size their stash arrays with, making 1F1B's smaller
-// footprint real, not just theoretical. Under kGPipe the walk degenerates
-// to slot == microbatch.
+// the trainer sizes its stash arrays with.
 //
-// Gradient buckets: under k1F1B the engine emits kBucketReady(s, b) ops for
-// each of the caller-declared buckets of stage s immediately after that
-// stage's last backward — the earliest point the stage's fused gradient is
-// complete. The hybrid trainer binds these to Communicator::
-// all_reduce_async, overlapping each stage row's collective with the
-// stages still draining below it. kGPipe emits none (its trainers issue one
-// fused all-reduce per stage after the drain).
+// Gradient buckets: the engine emits kBucketReady(s, b) ops for each of the
+// caller-declared buckets of stage s immediately after that stage's last
+// backward — the earliest point the stage's fused gradient is complete. The
+// hybrid trainer binds these to Communicator::all_reduce_async, overlapping
+// each stage row's collective with the stages still draining below it.
 #pragma once
 
 #include <stdexcept>
@@ -55,12 +45,11 @@
 
 namespace sn::dist {
 
+/// The column schedule. PipeDream-flush is the only one; the enum stays so
+/// configurations that name it keep compiling.
 enum class SchedulePolicy {
-  kGPipe,  ///< fill/drain: all forwards, then backwards newest-first
-  k1F1B,   ///< PipeDream-flush: warmup, one-forward-one-backward, cooldown
+  k1F1B,  ///< PipeDream-flush: warmup, one-forward-one-backward, cooldown
 };
-
-const char* schedule_policy_name(SchedulePolicy p);
 
 enum class ScheduleOpKind {
   kForward,      ///< run forward of (stage, microbatch); stream activation down
@@ -70,7 +59,7 @@ enum class ScheduleOpKind {
 
 /// Where an op falls in its stage's timeline (telemetry only; kFill ops are
 /// warmup forwards, kDrain ops are cooldown backwards, everything between is
-/// kSteady). GPipe has no steady state: forwards are kFill, backwards kDrain.
+/// kSteady).
 enum class SchedulePhase { kFill = 0, kSteady = 1, kDrain = 2 };
 
 struct ScheduleOp {
@@ -97,19 +86,15 @@ struct ScheduleOp {
 class ScheduleEngine {
  public:
   /// `buckets` declares how many fused-gradient buckets each stage splits
-  /// into (size S, every entry >= 1); empty = no kBucketReady ops. Buckets
-  /// are only emitted under k1F1B — GPipe callers all-reduce after the
-  /// drain and must see an unchanged op stream.
-  ScheduleEngine(SchedulePolicy policy, int stages, int microbatches,
-                 std::vector<int> buckets = {});
+  /// into (size S, every entry >= 1); empty = no kBucketReady ops.
+  ScheduleEngine(int stages, int microbatches, std::vector<int> buckets = {});
 
   const std::vector<ScheduleOp>& ops() const { return ops_; }
-  SchedulePolicy policy() const { return policy_; }
   int stages() const { return stages_; }
   int microbatches() const { return microbatches_; }
 
   /// Max stash slots ever live at `stage` (0 for stage 0: it reads the
-  /// dataset, not a streamed input). GPipe: M; 1F1B: min(M, S - stage + 1).
+  /// dataset, not a streamed input): min(M, S - stage + 1).
   int peak_stash_slots(int stage) const {
     return peak_slots_[static_cast<size_t>(stage)];
   }
@@ -120,11 +105,9 @@ class ScheduleEngine {
   }
 
  private:
-  void emit_gpipe();
   void emit_1f1b();
   void assign_stash_slots();
 
-  SchedulePolicy policy_;
   int stages_;
   int microbatches_;
   std::vector<int> buckets_;

@@ -29,7 +29,6 @@ class DataLayer final : public Layer {
   /// Must be called before Net::finalize(); graph::extract_stage() sets it
   /// on the synthetic input of every stage after the first.
   void set_input_grad(bool v) { input_grad_ = v; }
-  bool input_grad() const { return input_grad_; }
 
  private:
   bool input_grad_ = false;

@@ -211,7 +211,7 @@ PartitionPlan NetPartitioner::partition_at(const std::vector<int>& cuts) const {
   return make_plan(cuts);
 }
 
-PartitionPlan NetPartitioner::partition(int stages, StageRecompute recompute) const {
+PartitionPlan NetPartitioner::partition(int stages, int microbatches) const {
   const int n = static_cast<int>(net_.route().size());
   if (stages < 1) throw std::invalid_argument("NetPartitioner: stages >= 1");
   if (stages == 1) return make_plan({});
@@ -230,11 +230,11 @@ PartitionPlan NetPartitioner::partition(int stages, StageRecompute recompute) co
   // f[j] for the current stage count; choice[s][j] = predecessor index.
   // Memory awareness: a segment that cannot fit its pool even at the
   // full-offload floor costs infinity, so the DP routes around it.
-  // StageRecompute::kAllButLast charges every stage but the final one its
-  // forward a second time (1F1B steady state: interior stages re-materialize
-  // before each backward, the last never does). Stages >= 2 here, so the
-  // first-stage seeds below are never the last stage.
-  const bool remat_mid = recompute == StageRecompute::kAllButLast;
+  // With M > 1 every stage but the final one is charged its forward a second
+  // time (1F1B: stages above the last re-materialize before each backward,
+  // the last never does). Stages >= 2 here, so the first-stage seeds below
+  // are never the last stage.
+  const bool remat_mid = microbatches > 1;
   auto seg_cost = [&](int begin, int end, bool last) {
     return stage_fits(begin, end) ? stage_cost(begin, end, remat_mid && !last) : inf;
   };

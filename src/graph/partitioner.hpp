@@ -11,11 +11,13 @@
 //
 // Stage balance uses the same analytic cost model the simulator runs on:
 // a stage's cost is its layers' modeled forward+backward seconds plus the
-// link seconds of the boundary activation it ships downstream. partition()
-// minimizes the maximum stage cost over all valid cut combinations (the
-// pipeline's steady-state throughput is set by its slowest stage);
-// partition_at() takes explicit boundaries so tests (and users who know
-// their net) can pin exact cuts.
+// link seconds of the boundary activation it ships downstream, plus its
+// forward seconds once more when the column schedule re-materializes that
+// stage (every stage but the last, when the microbatch count M > 1).
+// partition() minimizes the maximum stage cost over all valid cut
+// combinations (the pipeline's steady-state throughput is set by its
+// slowest stage); partition_at() takes explicit boundaries so tests (and
+// users who know their net) can pin exact cuts.
 //
 // Memory awareness: when a device capacity is given, each candidate stage is
 // charged its working-set FLOOR under full offload — the stage's persistent
@@ -55,16 +57,6 @@ namespace sn::graph {
 /// graph layer free of an obs dependency.
 using LayerCostFn =
     std::function<bool(const std::string& name, double* fwd_seconds, double* bwd_seconds)>;
-
-/// How the partition cost model charges stash-and-recompute forwards.
-/// kNone is the legacy balance (forward + backward only) that GPipe-era
-/// cuts were chosen with — kept as the default so existing schedules stay
-/// byte-identical. kAllButLast models the 1F1B steady state: every stage
-/// re-materializes its forward before each backward EXCEPT the last, whose
-/// backward always directly follows its forward (src/dist/schedule_engine).
-/// Without this weighting the last stage runs systematically light and its
-/// saved remat time turns into pipeline idle instead of wall-clock.
-enum class StageRecompute { kNone, kAllButLast };
 
 struct StageSpec {
   int begin = 0;                 ///< first route index of the stage
@@ -124,10 +116,14 @@ class NetPartitioner {
 
   /// Cost-balanced partition into `stages` contiguous stages over the valid
   /// cuts: minimizes the slowest stage's compute + boundary-link seconds.
-  /// `recompute` selects how re-materialization weights the balance (see
-  /// StageRecompute). Throws std::invalid_argument when fewer than
-  /// `stages`-1 valid cuts exist.
-  PartitionPlan partition(int stages, StageRecompute recompute = StageRecompute::kNone) const;
+  /// `microbatches` is the column schedule's M: when M > 1 every stage but
+  /// the last re-materializes its forward before each backward
+  /// (dist::ScheduleEngine), so the balance charges those stages their
+  /// forward seconds once more; at M = 1 no stage re-materializes. Without
+  /// that weighting the last stage runs systematically light and its saved
+  /// remat time turns into pipeline idle. Throws std::invalid_argument when
+  /// fewer than `stages`-1 valid cuts exist.
+  PartitionPlan partition(int stages, int microbatches = 1) const;
 
   /// Explicit-boundary override: `cuts` must be ascending valid cut
   /// positions, each boundary produced inside the immediately preceding

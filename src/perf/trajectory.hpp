@@ -63,7 +63,7 @@ MetricKind metric_kind(const std::string& name);
 struct TrajectoryPoint {
   int point = 0;       ///< "trajectory_point"
   std::string origin;  ///< file name, for error messages
-  /// Canonical cell key (e.g. "sweep/ResNet50/pcie/s2r2m4/pool6/gpipe",
+  /// Canonical cell key (e.g. "sweep/ResNet50/pcie/s2r2m4/pool6/1f1b",
   /// "stream_overlap/AlexNet/b128") -> metric -> stat.
   std::map<std::string, std::map<std::string, MetricStat>> cells;
 };

@@ -32,13 +32,6 @@ class CostModel {
   /// Time for a purely bandwidth-bound kernel (elementwise / normalization).
   double bandwidth_time(uint64_t bytes) const { return compute_time(0.0, static_cast<double>(bytes), 1.0); }
 
-  /// PCIe transfer time (same formula the Machine uses; exposed so planners
-  /// can reason about overlap without enqueueing).
-  double transfer_time(uint64_t bytes, bool pinned) const {
-    double bw = spec_.pcie_h2d_pinned * (pinned ? 1.0 : spec_.pageable_factor);
-    return spec_.dma_latency_s + static_cast<double>(bytes) / bw;
-  }
-
   /// Fraction of peak DRAM bandwidth that streaming kernels sustain.
   static constexpr double kMemEfficiency = 0.75;
 

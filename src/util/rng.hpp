@@ -41,9 +41,6 @@ class Rng {
   }
 
   /// Uniform in [0, 1).
-  double next_double() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
-
-  /// Uniform in [0, 1).
   float next_float() { return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f; }
 
   /// Uniform integer in [0, n).

@@ -176,7 +176,6 @@ TEST(CostProfile, FromSessionSplitsIterationsAtDrainMarkers) {
   cfg.replicas = 2;
   cfg.microbatches = 4;
   cfg.global_batch = 8;
-  cfg.schedule = dist::SchedulePolicy::k1F1B;
   cfg.cluster = sim::pcie_cluster_spec(4);
   cfg.train.iterations = 3;
   core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);

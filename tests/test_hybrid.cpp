@@ -268,7 +268,7 @@ TEST(HybridParallel, SimModeScalesToZooNets) {
 
 TEST(HybridParallel, OneF1BBucketedAllreduceMatchesSingleDeviceBitForBit) {
   // 2 x 2 x 4 under PipeDream-flush WITH asynchronous bucketed all-reduce:
-  // the schedule engine changes execution order and the update splits into
+  // the schedule retires backwards out of order and the update splits into
   // chained sub-group collectives, yet losses AND weights must still be
   // bit-identical to the single-device run — bucketing slices the fused
   // vector, and each element's halving-doubling rank-combine tree is
@@ -279,7 +279,6 @@ TEST(HybridParallel, OneF1BBucketedAllreduceMatchesSingleDeviceBitForBit) {
   for (Geometry g : {Geometry{2, 2, 4}, Geometry{2, 1, 4}}) {
     SCOPED_TRACE(::testing::Message() << "grid " << g);
     auto cfg = hybrid_config(g, 8, 5);
-    cfg.schedule = dist::SchedulePolicy::k1F1B;
     cfg.bucket_bytes = 256;  // tiny buckets: force a real multi-bucket chain
     expect_grid_matches_single_device(
         factory, cfg, [](dist::HybridParallelTrainer& hyb, const dist::HybridParallelReport&) {
@@ -294,7 +293,6 @@ TEST(HybridParallel, BucketSizeDoesNotChangeResults) {
   auto run = [](uint64_t bucket_bytes) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
     auto cfg = hybrid_config(2, 2, 4, 8, 4);
-    cfg.schedule = dist::SchedulePolicy::k1F1B;
     cfg.bucket_bytes = bucket_bytes;
     dist::HybridParallelTrainer hyb(factory, parity_options(), cfg);
     return hyb.run().losses;
@@ -302,57 +300,24 @@ TEST(HybridParallel, BucketSizeDoesNotChangeResults) {
   EXPECT_EQ(run(64ull << 20), run(128));
 }
 
-TEST(HybridParallel, OneF1BMatchesGPipeTrajectoryAndShrinksTheStash) {
-  // Same net, same data, both policies: identical loss trajectories. The
-  // 3 x 1 pipe exercises warmup depths 2/1/0 and cooldown remat.
-  struct Case {
-    Factory factory;
-    Geometry grid;
-    int iterations;
-  };
-  const Case cases[] = {
-      {[](int batch) { return graph::build_tiny_linear(batch); }, {2, 2, 4}, 4},
-      {[](int batch) { return graph::build_tiny_linear(batch, 16); }, {3, 1, 4}, 5},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(::testing::Message() << "grid " << c.grid);
-    auto make = [&](dist::SchedulePolicy pol) {
-      auto cfg = hybrid_config(c.grid, 8, c.iterations);
-      cfg.schedule = pol;
-      return std::make_unique<dist::HybridParallelTrainer>(c.factory, parity_options(), cfg);
-    };
-    auto gpipe = make(dist::SchedulePolicy::kGPipe);
-    auto f1b = make(dist::SchedulePolicy::k1F1B);
-    // M=4 > S: 1F1B stashes min(M, S-s+1) slots, GPipe all 4.
-    EXPECT_LT(f1b->stash_bytes(1), gpipe->stash_bytes(1));
-    EXPECT_EQ(gpipe->run().losses, f1b->run().losses);
+TEST(HybridParallel, DataParallelRowAllReducesInOneExposedBucket) {
+  // S = 1 has no drain for buckets to overlap: a 1 x 2 row all-reduces its
+  // whole gradient as one bucket after its last backward, and all of that
+  // collective is exposed. A bucket size far below the gradient must not
+  // split it.
+  auto factory = [](int batch) { return graph::build_vgg(16, batch); };
+  core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
+  o.real = false;
+  auto cfg = hybrid_config(1, 2, 1, 32, 2);
+  cfg.cluster = sim::nvlink_cluster_spec(2);
+  ASSERT_EQ(cfg.bucket_bytes, 4ull << 20);
+  dist::HybridParallelTrainer hyb(factory, o, cfg);
+  EXPECT_EQ(hyb.buckets(0), 1);
+  auto rep = hyb.run();
+  for (const core::IterationStats& st : rep.stats) {
+    EXPECT_GT(st.allreduce_seconds, 0.0);
+    EXPECT_EQ(st.allreduce_exposed_seconds, st.allreduce_seconds);
   }
-}
-
-TEST(HybridParallel, OneF1BOverlapExposesLessAllreduceInSim) {
-  // The overlap telemetry itself: with bucketed async all-reduce issued at
-  // each stage's last backward, the exposed (non-overlapped) collective
-  // time must not exceed the synchronous GPipe update's exposure.
-  auto exposed = [](dist::SchedulePolicy pol) {
-    auto factory = [](int batch) { return graph::build_vgg(16, batch); };
-    core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
-    o.real = false;
-    dist::HybridParallelConfig cfg;
-    cfg.stages = 4;
-    cfg.replicas = 2;
-    cfg.microbatches = 8;
-    cfg.global_batch = 64;
-    cfg.cluster = sim::pcie_cluster_spec(8);
-    cfg.train = parity_train_config(2);
-    cfg.schedule = pol;
-    dist::HybridParallelTrainer hyb(factory, o, cfg);
-    auto rep = hyb.run();
-    return rep.stats.back().allreduce_exposed_seconds;
-  };
-  const double sync_exposed = exposed(dist::SchedulePolicy::kGPipe);
-  const double overlap_exposed = exposed(dist::SchedulePolicy::k1F1B);
-  EXPECT_GT(sync_exposed, 0.0);
-  EXPECT_LT(overlap_exposed, sync_exposed);
 }
 
 TEST(HybridParallel, RejectsBadConfigs) {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "graph/partitioner.hpp"
 #include "graph/zoo.hpp"
+#include "sim/cluster.hpp"
 
 namespace {
 
@@ -213,11 +216,40 @@ TEST(NetPartitioner, NullObservedProviderKeepsCutsByteIdentical) {
       }
     }
   }
-  // Remat weighting flows through the same prefixes: parity there too.
-  auto a = legacy.partition(2, graph::StageRecompute::kAllButLast);
-  auto b = null_provider.partition(2, graph::StageRecompute::kAllButLast);
+  // Remat weighting (M > 1) flows through the same prefixes: parity there too.
+  auto a = legacy.partition(2, 4);
+  auto b = null_provider.partition(2, 4);
   EXPECT_EQ(a.cuts, b.cuts);
   EXPECT_EQ(a.max_stage_seconds, b.max_stage_seconds);
+}
+
+TEST(NetPartitioner, MicrobatchCountChargesTheScheduledRematerialization) {
+  // With M > 1 every stage but the last re-materializes its forward before
+  // each backward, and the balance charges it; at M = 1 nothing does. Both
+  // sets of cuts are pinned: M = 1 keeps the forward+backward-only balance,
+  // M > 1 shifts every cut toward the input so the last stage carries more.
+  struct Case {
+    const char* net;
+    int stages;
+    std::vector<int> one, many;  ///< cuts at M = 1 and at M = 4
+  };
+  const Case cases[] = {
+      {"VGG16", 2, {14}, {13}},
+      {"VGG16", 4, {8, 14, 21}, {7, 13, 18}},
+      {"ResNet50", 2, {69}, {58}},
+      {"ResNet50", 4, {27, 68, 120}, {26, 59, 101}},
+  };
+  const sim::ClusterSpec cluster = sim::nvlink_cluster_spec(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.net << " S=" << c.stages);
+    auto net = std::string(c.net) == "VGG16" ? graph::build_vgg(16, 8)
+                                             : graph::build_resnet_preset(50, 8);
+    NetPartitioner part(*net, cluster.device, cluster.link);
+    EXPECT_EQ(part.partition(c.stages, 1).cuts, c.one);
+    EXPECT_EQ(part.partition(c.stages).cuts, c.one);  // M defaults to 1
+    EXPECT_EQ(part.partition(c.stages, 4).cuts, c.many);
+    EXPECT_EQ(part.partition(c.stages, 2).cuts, c.many);  // any M > 1
+  }
 }
 
 TEST(ExtractStage, SplitsLayersAndPreservesNames) {

@@ -1,8 +1,7 @@
-// ScheduleEngine tests: the op streams are load-bearing contracts. kGPipe
-// must reproduce the legacy fill/drain loop nests byte for byte (the
-// trainers' bit-parity and schedule telemetry depend on it); k1F1B must
-// reproduce the hand-derived PipeDream-flush wavefront, including recompute
-// flags, phase stamps, stash-slot reuse, and kBucketReady placement. The
+// ScheduleEngine tests: the op stream is a load-bearing contract. It must
+// reproduce the hand-derived PipeDream-flush (1F1B) wavefront, including
+// recompute flags, phase stamps, stash-slot reuse, and kBucketReady
+// placement. The
 // exact sequences below were derived by hand from the dependency rules
 // (Forward(s,m) needs fwd_done[s-1][m]; Backward(s,m) needs
 // bwd_done[s+1][m]) and the greedy ascending-stage round-robin.
@@ -45,31 +44,8 @@ void expect_ops(const ScheduleEngine& eng, const std::vector<OpPin>& want) {
 
 constexpr Kind F = Kind::kForward, B = Kind::kBackward, R = Kind::kBucketReady;
 
-TEST(ScheduleEngine, GPipeTwoStagesFourMicrobatchesIsTheLegacyLoopNest) {
-  ScheduleEngine eng(SchedulePolicy::kGPipe, 2, 4);
-  // fill: for m: for s;  drain: for m desc: for s desc.
-  expect_ops(eng, {{F, 0, 0}, {F, 1, 0}, {F, 0, 1}, {F, 1, 1},
-                   {F, 0, 2}, {F, 1, 2}, {F, 0, 3}, {F, 1, 3},
-                   {B, 1, 3}, {B, 0, 3}, {B, 1, 2}, {B, 0, 2},
-                   {B, 1, 1}, {B, 0, 1}, {B, 1, 0}, {B, 0, 0}});
-  for (const ScheduleOp& op : eng.ops()) {
-    if (op.kind == Kind::kForward) {
-      EXPECT_EQ(op.phase, SchedulePhase::kFill);
-      EXPECT_FALSE(op.recompute);
-      // GPipe stash degenerates to slot == microbatch.
-      EXPECT_EQ(op.stash_slot, op.stage > 0 ? op.microbatch : -1);
-    } else {
-      EXPECT_EQ(op.phase, SchedulePhase::kDrain);
-      // Every non-newest microbatch re-materializes its forward.
-      EXPECT_EQ(op.recompute, op.microbatch < 3);
-    }
-  }
-  EXPECT_EQ(eng.peak_stash_slots(0), 0);
-  EXPECT_EQ(eng.peak_stash_slots(1), 4);
-}
-
 TEST(ScheduleEngine, OneF1BTwoStagesFourMicrobatches) {
-  ScheduleEngine eng(SchedulePolicy::k1F1B, 2, 4);
+  ScheduleEngine eng(2, 4);
   expect_ops(eng, {{F, 0, 0}, {F, 1, 0}, {F, 0, 1}, {B, 1, 0},
                    {B, 0, 0}, {F, 1, 1}, {F, 0, 2}, {B, 1, 1},
                    {B, 0, 1}, {F, 1, 2}, {F, 0, 3}, {B, 1, 2},
@@ -81,7 +57,7 @@ TEST(ScheduleEngine, OneF1BTwoStagesFourMicrobatches) {
     // between and must re-materialize.
     EXPECT_EQ(op.recompute, op.stage != 1) << "B(" << op.stage << ", " << op.microbatch << ")";
   }
-  // Peak stash: min(M, S - s + 1) = 2 slots, not GPipe's 4; slots alternate.
+  // Peak stash: min(M, S - s + 1) = 2 slots, not all 4; slots alternate.
   EXPECT_EQ(eng.peak_stash_slots(1), 2);
   EXPECT_EQ(eng.stash_slot(1, 0), 0);
   EXPECT_EQ(eng.stash_slot(1, 1), 1);
@@ -91,14 +67,14 @@ TEST(ScheduleEngine, OneF1BTwoStagesFourMicrobatches) {
 }
 
 TEST(ScheduleEngine, OneF1BThreeStagesSixMicrobatches) {
-  ScheduleEngine eng(SchedulePolicy::k1F1B, 3, 6);
+  ScheduleEngine eng(3, 6);
   expect_ops(eng, {{F, 0, 0}, {F, 1, 0}, {F, 2, 0}, {F, 0, 1}, {F, 1, 1}, {B, 2, 0},
                    {F, 0, 2}, {B, 1, 0}, {F, 2, 1}, {B, 0, 0}, {F, 1, 2}, {B, 2, 1},
                    {F, 0, 3}, {B, 1, 1}, {F, 2, 2}, {B, 0, 1}, {F, 1, 3}, {B, 2, 2},
                    {F, 0, 4}, {B, 1, 2}, {F, 2, 3}, {B, 0, 2}, {F, 1, 4}, {B, 2, 3},
                    {F, 0, 5}, {B, 1, 3}, {F, 2, 4}, {B, 0, 3}, {F, 1, 5}, {B, 2, 4},
                    {B, 1, 4}, {F, 2, 5}, {B, 0, 4}, {B, 2, 5}, {B, 1, 5}, {B, 0, 5}});
-  // Peak stash min(M, S - s + 1): stage 1 -> 3, stage 2 -> 2 (GPipe: 6 each).
+  // Peak stash min(M, S - s + 1): stage 1 -> 3, stage 2 -> 2 (of 6).
   EXPECT_EQ(eng.peak_stash_slots(1), 3);
   EXPECT_EQ(eng.peak_stash_slots(2), 2);
   // Last stage never re-materializes; upstream stages always do.
@@ -109,7 +85,7 @@ TEST(ScheduleEngine, OneF1BThreeStagesSixMicrobatches) {
 }
 
 TEST(ScheduleEngine, PhasesPartitionWarmupSteadyCooldown) {
-  ScheduleEngine eng(SchedulePolicy::k1F1B, 3, 6);
+  ScheduleEngine eng(3, 6);
   // Stage s: w = min(M, S-1-s) warmup forwards (kFill), w cooldown
   // backwards (kDrain), everything else kSteady.
   int fill[3] = {0, 0, 0}, drain[3] = {0, 0, 0}, steady[3] = {0, 0, 0};
@@ -127,7 +103,7 @@ TEST(ScheduleEngine, PhasesPartitionWarmupSteadyCooldown) {
 }
 
 TEST(ScheduleEngine, BucketReadyOpsFollowEachStagesLastBackward) {
-  ScheduleEngine eng(SchedulePolicy::k1F1B, 2, 4, {2, 3});
+  ScheduleEngine eng(2, 4, {2, 3});
   // Stage 1's last backward B(1,3) precedes stage 0's B(0,3), so its
   // buckets issue FIRST — that is the whole overlap: the row's all-reduce
   // starts while upstream stages are still draining.
@@ -147,83 +123,68 @@ TEST(ScheduleEngine, BucketReadyOpsFollowEachStagesLastBackward) {
   }
 }
 
-TEST(ScheduleEngine, GPipeNeverEmitsBuckets) {
-  // GPipe trainers keep the legacy post-drain synchronous update; the op
-  // stream must be unchanged even when bucket counts are passed.
-  ScheduleEngine plain(SchedulePolicy::kGPipe, 3, 4);
-  ScheduleEngine bucketed(SchedulePolicy::kGPipe, 3, 4, {2, 2, 2});
-  ASSERT_EQ(plain.ops().size(), bucketed.ops().size());
-  for (size_t i = 0; i < plain.ops().size(); ++i) {
-    EXPECT_TRUE(plain.ops()[i] == bucketed.ops()[i]) << "op " << i;
-  }
-}
-
 TEST(ScheduleEngine, DegenerateShapes) {
   {
     // S=1: no links, no stash; 1F1B degenerates to F B F B ... per microbatch.
-    ScheduleEngine eng(SchedulePolicy::k1F1B, 1, 3);
+    ScheduleEngine eng(1, 3);
     expect_ops(eng, {{F, 0, 0}, {B, 0, 0}, {F, 0, 1}, {B, 0, 1}, {F, 0, 2}, {B, 0, 2}});
     EXPECT_EQ(eng.peak_stash_slots(0), 0);
     for (const ScheduleOp& op : eng.ops()) EXPECT_FALSE(op.recompute);
   }
   {
-    // M=1: both policies collapse to one fill column and one drain column.
-    ScheduleEngine g(SchedulePolicy::kGPipe, 3, 1);
-    ScheduleEngine p(SchedulePolicy::k1F1B, 3, 1);
-    ASSERT_EQ(g.ops().size(), p.ops().size());
-    for (size_t i = 0; i < g.ops().size(); ++i) {
-      EXPECT_EQ(static_cast<int>(g.ops()[i].kind), static_cast<int>(p.ops()[i].kind)) << i;
-      EXPECT_EQ(g.ops()[i].stage, p.ops()[i].stage) << i;
-    }
-    EXPECT_EQ(p.peak_stash_slots(1), 1);
-    EXPECT_EQ(p.peak_stash_slots(2), 1);
+    // M=1: one forward column down, one backward column up, and every
+    // backward finds its own forward's activations resident.
+    ScheduleEngine eng(3, 1);
+    expect_ops(eng, {{F, 0, 0}, {F, 1, 0}, {F, 2, 0}, {B, 2, 0}, {B, 1, 0}, {B, 0, 0}});
+    for (const ScheduleOp& op : eng.ops()) EXPECT_FALSE(op.recompute);
+    EXPECT_EQ(eng.peak_stash_slots(1), 1);
+    EXPECT_EQ(eng.peak_stash_slots(2), 1);
   }
 }
 
 TEST(ScheduleEngine, EveryScheduleIsDependencyValid) {
   // Structural sanity over a sweep: each microbatch forwards down then
   // backwards up, receives matching earlier sends, and every (stage,
-  // microbatch) appears exactly once per direction.
-  for (SchedulePolicy pol : {SchedulePolicy::kGPipe, SchedulePolicy::k1F1B}) {
-    for (int S : {1, 2, 3, 4, 5}) {
-      for (int M : {1, 2, 3, 4, 6, 8}) {
-        ScheduleEngine eng(pol, S, M);
-        std::vector<std::vector<bool>> fwd(static_cast<size_t>(S),
-                                           std::vector<bool>(static_cast<size_t>(M), false));
-        auto bwd = fwd;
-        for (const ScheduleOp& op : eng.ops()) {
-          const size_t s = static_cast<size_t>(op.stage), m = static_cast<size_t>(op.microbatch);
-          if (op.kind == Kind::kForward) {
-            ASSERT_FALSE(fwd[s][m]);
-            if (op.stage > 0) {
-              ASSERT_TRUE(fwd[s - 1][m]) << schedule_policy_name(pol);
-            }
-            fwd[s][m] = true;
-          } else {
-            ASSERT_FALSE(bwd[s][m]);
-            ASSERT_TRUE(fwd[s][m]);
-            if (op.stage + 1 < S) {
-              ASSERT_TRUE(bwd[s + 1][m]) << schedule_policy_name(pol);
-            }
-            bwd[s][m] = true;
+  // microbatch) appears exactly once per direction. Re-materialization
+  // falls exactly where NetPartitioner::partition(S, M) charges it: every
+  // backward below the last stage when M > 1, none at M = 1.
+  for (int S : {1, 2, 3, 4, 5}) {
+    for (int M : {1, 2, 3, 4, 6, 8}) {
+      SCOPED_TRACE(::testing::Message() << "S=" << S << " M=" << M);
+      ScheduleEngine eng(S, M);
+      std::vector<std::vector<bool>> fwd(static_cast<size_t>(S),
+                                         std::vector<bool>(static_cast<size_t>(M), false));
+      auto bwd = fwd;
+      for (const ScheduleOp& op : eng.ops()) {
+        const size_t s = static_cast<size_t>(op.stage), m = static_cast<size_t>(op.microbatch);
+        if (op.kind == Kind::kForward) {
+          ASSERT_FALSE(fwd[s][m]);
+          if (op.stage > 0) {
+            ASSERT_TRUE(fwd[s - 1][m]);
           }
+          fwd[s][m] = true;
+        } else {
+          ASSERT_FALSE(bwd[s][m]);
+          ASSERT_TRUE(fwd[s][m]);
+          if (op.stage + 1 < S) {
+            ASSERT_TRUE(bwd[s + 1][m]);
+          }
+          bwd[s][m] = true;
+          EXPECT_EQ(op.recompute, M > 1 && op.stage + 1 < S)
+              << "B(" << op.stage << ", " << op.microbatch << ")";
         }
-        for (int s = 0; s < S; ++s) {
-          for (int m = 0; m < M; ++m) {
-            ASSERT_TRUE(fwd[static_cast<size_t>(s)][static_cast<size_t>(m)]);
-            ASSERT_TRUE(bwd[static_cast<size_t>(s)][static_cast<size_t>(m)]);
-          }
+      }
+      for (int s = 0; s < S; ++s) {
+        for (int m = 0; m < M; ++m) {
+          ASSERT_TRUE(fwd[static_cast<size_t>(s)][static_cast<size_t>(m)]);
+          ASSERT_TRUE(bwd[static_cast<size_t>(s)][static_cast<size_t>(m)]);
         }
-        // 1F1B's stash never exceeds GPipe's, and beats it when M > S.
-        for (int s = 1; s < S; ++s) {
-          if (pol == SchedulePolicy::k1F1B) {
-            EXPECT_LE(eng.peak_stash_slots(s), M);
-            if (M > S) {
-              EXPECT_LT(eng.peak_stash_slots(s), M);
-            }
-          } else {
-            EXPECT_EQ(eng.peak_stash_slots(s), M);
-          }
+      }
+      // The stash never holds all M inputs once M > S.
+      for (int s = 1; s < S; ++s) {
+        EXPECT_LE(eng.peak_stash_slots(s), M);
+        if (M > S) {
+          EXPECT_LT(eng.peak_stash_slots(s), M);
         }
       }
     }
@@ -231,11 +192,11 @@ TEST(ScheduleEngine, EveryScheduleIsDependencyValid) {
 }
 
 TEST(ScheduleEngine, RejectsBadShapes) {
-  EXPECT_THROW(ScheduleEngine(SchedulePolicy::kGPipe, 0, 2), std::invalid_argument);
-  EXPECT_THROW(ScheduleEngine(SchedulePolicy::k1F1B, 2, 0), std::invalid_argument);
+  EXPECT_THROW(ScheduleEngine(0, 2), std::invalid_argument);
+  EXPECT_THROW(ScheduleEngine(2, 0), std::invalid_argument);
   // Bucket vector must cover every stage with a positive count.
-  EXPECT_THROW(ScheduleEngine(SchedulePolicy::k1F1B, 2, 2, {1}), std::invalid_argument);
-  EXPECT_THROW(ScheduleEngine(SchedulePolicy::k1F1B, 2, 2, {1, 0}), std::invalid_argument);
+  EXPECT_THROW(ScheduleEngine(2, 2, {1}), std::invalid_argument);
+  EXPECT_THROW(ScheduleEngine(2, 2, {1, 0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // bench_sweep's pipeline and grid checks (bench/sweep_checks.hpp): each one
 // fails on synthetic cells that violate it and names the offending cells, a
 // cell set lacking a check's geometry is an error rather than a pass, and
-// the small and full tiers declare cells for all four checks.
+// the small and full tiers declare cells for both checks.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -18,20 +18,13 @@ using bench::SweepCheck;
 namespace {
 
 /// Synthetic medians that satisfy every check: the balanced-pipe bubble
-/// (S-1)/(M+S-1) with 1F1B 10% below GPipe, throughput growing with the
-/// device count, and 1F1B halving GPipe's exposed all-reduce on grids. Like
+/// (S-1)/(M+S-1) and throughput growing with the device count. Like
 /// bench_sweep, only pipelined cells (S > 1, M > 1) carry bubble_frac, so a
 /// check that asks any other cell for it throws.
 SweepCellResult healthy(const SweepCellSpec& s) {
   const int devices = s.stages * s.replicas;
-  double frac = static_cast<double>(s.stages - 1) / (s.microbatches + s.stages - 1);
-  double exposed = s.replicas > 1 ? 0.010 : 0.0;
-  if (s.schedule == "1f1b") {
-    frac *= 0.9;
-    exposed *= 0.5;
-  }
-  SweepCellResult c{s,
-                    {{"img_per_s", {100.0 * devices}}, {"allreduce_exposed_seconds", {exposed}}}};
+  const double frac = static_cast<double>(s.stages - 1) / (s.microbatches + s.stages - 1);
+  SweepCellResult c{s, {{"img_per_s", {100.0 * devices}}}};
   if (s.stages > 1 && s.microbatches > 1) c.samples.emplace_back("bubble_frac", std::vector{frac});
   return c;
 }
@@ -72,8 +65,7 @@ void expect_violation_names(const SweepCheck& c, const std::string& cell) {
   EXPECT_TRUE(named) << c.name << " does not name " << cell;
 }
 
-const char* kChecks[] = {"gpipe_bubble_shrinks", "1f1b_bubble_below_gpipe",
-                         "2x2_beats_2_device", "1f1b_allreduce_overlap"};
+const char* kChecks[] = {"bubble_shrinks", "2x2_beats_2_device"};
 
 }  // namespace
 
@@ -81,16 +73,18 @@ TEST(SweepChecks, GatedTiersDeclareCellsForEveryCheck) {
   for (const char* tier : {"small", "full"}) {
     ASSERT_TRUE(bench::tier_has_checks(tier));
     const auto checks = bench::check_sweep(healthy_tier(tier));
-    ASSERT_EQ(checks.size(), 4u);
+    ASSERT_EQ(checks.size(), 2u);
     for (const SweepCheck& c : checks) {
       EXPECT_TRUE(c.ok()) << tier << " " << c.name << ": "
                           << (c.violations.empty() ? "" : c.violations.front());
       EXPECT_FALSE(c.checked.empty()) << tier << " " << c.name;
     }
   }
-  // The grid check compares each 2x2x4 cell against its three baselines.
+  // The grid check compares each 2x2x4 cell against its two baselines, and
+  // the bubble check each 2x1 pipeline's m4 cell against its m8 cell.
   const auto small = bench::check_sweep(healthy_tier("small"));
-  EXPECT_EQ(check(small, "2x2_beats_2_device").checked.size(), 8u);  // 2 nets x 2 pools x 2
+  EXPECT_EQ(check(small, "2x2_beats_2_device").checked.size(), 4u);  // 2 nets x 2 pools
+  EXPECT_EQ(check(small, "bubble_shrinks").checked.size(), 4u);
 }
 
 TEST(SweepChecks, MissingCellsAreAnErrorNotAPass) {
@@ -104,32 +98,22 @@ TEST(SweepChecks, MissingCellsAreAnErrorNotAPass) {
       EXPECT_EQ(c.violations[0].rfind("no cells", 0), 0u) << c.violations[0];
     }
   }
-  // A 1F1B pipeline cell with M >= 2S but no GPipe twin is named, not skipped.
-  auto cells = healthy_tier("small");
-  std::erase_if(cells, [](const SweepCellResult& c) {
-    return bench::cell_key(c.spec) == "VGG16/nvlink/s4r1m8/pool6/gpipe";
-  });
-  expect_violation_names(check(bench::check_sweep(cells), "1f1b_bubble_below_gpipe"),
-                         "VGG16/nvlink/s4r1m8/pool6/1f1b");
 }
 
-TEST(SweepChecks, GPipeBubbleThatGrowsWithMIsNamed) {
+TEST(SweepChecks, BubbleThatGrowsWithMIsNamed) {
   auto cells = healthy_tier("small");
-  set(find(cells, "ResNet50/nvlink/s2r1m8/pool12/gpipe"), "bubble_frac", 0.5);
+  set(find(cells, "ResNet50/nvlink/s2r1m8/pool12/1f1b"), "bubble_frac", 0.5);
   const auto checks = bench::check_sweep(cells);
-  expect_violation_names(check(checks, "gpipe_bubble_shrinks"),
-                         "ResNet50/nvlink/s2r1m8/pool12/gpipe");
-  EXPECT_EQ(check(checks, "gpipe_bubble_shrinks").violations.size(), 1u);
-}
+  expect_violation_names(check(checks, "bubble_shrinks"), "ResNet50/nvlink/s2r1m8/pool12/1f1b");
+  EXPECT_EQ(check(checks, "bubble_shrinks").violations.size(), 1u);
 
-TEST(SweepChecks, OneF1BBubbleNotBelowGPipeIsNamed) {
-  auto cells = healthy_tier("small");
-  // A tie is a violation: the claim is strictly below.
-  const double gpipe = find(cells, "VGG16/nvlink/s4r1m8/pool12/gpipe").median("bubble_frac");
-  set(find(cells, "VGG16/nvlink/s4r1m8/pool12/1f1b"), "bubble_frac", gpipe);
-  const SweepCheck c = check(bench::check_sweep(cells), "1f1b_bubble_below_gpipe");
-  expect_violation_names(c, "VGG16/nvlink/s4r1m8/pool12/1f1b");
-  EXPECT_EQ(c.violations.size(), 1u);
+  // A tie is a violation: the claim is strictly smaller.
+  auto ties = healthy_tier("small");
+  const double m4 = find(ties, "VGG16/nvlink/s2r1m4/pool6/1f1b").median("bubble_frac");
+  set(find(ties, "VGG16/nvlink/s2r1m8/pool6/1f1b"), "bubble_frac", m4);
+  const SweepCheck t = check(bench::check_sweep(ties), "bubble_shrinks");
+  expect_violation_names(t, "VGG16/nvlink/s2r1m8/pool6/1f1b");
+  EXPECT_EQ(t.violations.size(), 1u);
 }
 
 TEST(SweepChecks, GridThatNeverBeatsTheTwoDeviceBaselinesFails) {
@@ -151,24 +135,6 @@ TEST(SweepChecks, GridThatNeverBeatsTheTwoDeviceBaselinesFails) {
   // One winning grid cell anywhere is enough.
   set(find(cells, "ResNet50/nvlink/s2r2m4/pool6/1f1b"), "img_per_s", 2e4);
   EXPECT_TRUE(check(bench::check_sweep(cells), "2x2_beats_2_device").ok());
-}
-
-TEST(SweepChecks, OneF1BExposingMoreAllReduceIsNamed) {
-  auto cells = healthy_tier("small");
-  set(find(cells, "VGG16/nvlink/s2r2m4/pool6/1f1b"), "allreduce_exposed_seconds", 0.02);
-  const SweepCheck c = check(bench::check_sweep(cells), "1f1b_allreduce_overlap");
-  expect_violation_names(c, "VGG16/nvlink/s2r2m4/pool6/1f1b");
-  EXPECT_EQ(c.violations.size(), 1u);
-
-  // Ties everywhere: nothing exposes more, but nothing strictly less either.
-  auto ties = healthy_tier("small");
-  for (SweepCellResult& cell : ties) {
-    if (cell.spec.replicas > 1) set(cell, "allreduce_exposed_seconds", 0.01);
-  }
-  const SweepCheck t = check(bench::check_sweep(ties), "1f1b_allreduce_overlap");
-  EXPECT_FALSE(t.ok());
-  ASSERT_EQ(t.violations.size(), 1u);
-  EXPECT_NE(t.violations[0].find("strictly less"), std::string::npos);
 }
 
 TEST(SweepChecks, MissingMetricThrowsNamingTheCell) {

@@ -39,14 +39,12 @@ train::TrainConfig train_config(int iterations) {
 }
 
 dist::HybridParallelConfig hybrid_config(int stages, int replicas, int microbatches,
-                                         int global_batch, int iterations,
-                                         dist::SchedulePolicy policy) {
+                                         int global_batch, int iterations) {
   dist::HybridParallelConfig cfg;
   cfg.stages = stages;
   cfg.replicas = replicas;
   cfg.microbatches = microbatches;
   cfg.global_batch = global_batch;
-  cfg.schedule = policy;
   cfg.cluster = sim::pcie_cluster_spec(stages * replicas);
   cfg.train = train_config(iterations);
   return cfg;
@@ -168,31 +166,28 @@ TEST(TraceAnalyzer, SingleDeviceSpansAccountForEveryComputeStreamSecond) {
 // --- pipeline / hybrid reconciliation ---------------------------------------
 
 TEST(TraceAnalyzer, PipelineBubbleReconcilesWithIterationStats) {
-  for (auto policy : {dist::SchedulePolicy::kGPipe, dist::SchedulePolicy::k1F1B}) {
-    auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-    dist::HybridParallelTrainer pipe(factory, parity_options(),
-                                     hybrid_config(2, 1, 4, 8, 2, policy));
-    obs::TraceSession session;
-    pipe.attach_trace(&session);
-    auto rep = pipe.run();
-    pipe.attach_trace(nullptr);
+  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
+  dist::HybridParallelTrainer pipe(factory, parity_options(), hybrid_config(2, 1, 4, 8, 2));
+  obs::TraceSession session;
+  pipe.attach_trace(&session);
+  auto rep = pipe.run();
+  pipe.attach_trace(nullptr);
 
-    obs::TraceAnalyzer an(session);
-    const obs::Attribution total = an.total();
-    double bubble = 0.0, fill = 0.0, steady = 0.0, drain = 0.0;
-    for (const auto& st : rep.stats) {
-      bubble += st.bubble_seconds;
-      fill += st.bubble_fill_seconds;
-      steady += st.bubble_steady_seconds;
-      drain += st.bubble_drain_seconds;
-    }
-    EXPECT_NEAR(total.bubble_seconds, bubble, 1e-12) << dist::schedule_policy_name(policy);
-    EXPECT_NEAR(total.bubble_fill_seconds, fill, 1e-12);
-    EXPECT_NEAR(total.bubble_steady_seconds, steady, 1e-12);
-    EXPECT_NEAR(total.bubble_drain_seconds, drain, 1e-12);
-    EXPECT_TRUE(an.unmatched_flows().empty()) << dist::schedule_policy_name(policy);
-    EXPECT_GT(an.flows_produced(), 0u);
+  obs::TraceAnalyzer an(session);
+  const obs::Attribution total = an.total();
+  double bubble = 0.0, fill = 0.0, steady = 0.0, drain = 0.0;
+  for (const auto& st : rep.stats) {
+    bubble += st.bubble_seconds;
+    fill += st.bubble_fill_seconds;
+    steady += st.bubble_steady_seconds;
+    drain += st.bubble_drain_seconds;
   }
+  EXPECT_NEAR(total.bubble_seconds, bubble, 1e-12);
+  EXPECT_NEAR(total.bubble_fill_seconds, fill, 1e-12);
+  EXPECT_NEAR(total.bubble_steady_seconds, steady, 1e-12);
+  EXPECT_NEAR(total.bubble_drain_seconds, drain, 1e-12);
+  EXPECT_TRUE(an.unmatched_flows().empty());
+  EXPECT_GT(an.flows_produced(), 0u);
 }
 
 TEST(TraceAnalyzer, HybridGridReconcilesAndPairsEveryFlow) {
@@ -200,7 +195,7 @@ TEST(TraceAnalyzer, HybridGridReconcilesAndPairsEveryFlow) {
   // all-reduce — P2P flows AND collective flows in one trace.
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
   dist::HybridParallelTrainer hyb(factory, parity_options(),
-                                  hybrid_config(2, 2, 4, 8, 2, dist::SchedulePolicy::k1F1B));
+                                  hybrid_config(2, 2, 4, 8, 2));
   obs::TraceSession session;
   hyb.attach_trace(&session);
   auto rep = hyb.run();
@@ -229,28 +224,28 @@ TEST(TraceAnalyzer, HybridGridReconcilesAndPairsEveryFlow) {
   }
 }
 
-TEST(TraceAnalyzer, GpipeExposesCollectiveAndOneFOneBOverlapsIt) {
-  // The overlap audit the bench gates on, reproduced from spans alone:
-  // GPipe's post-drain synchronous all-reduce is fully exposed; 1F1B's
-  // bucketed issue overlaps the drain and must expose no more.
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  double exposed[2] = {0.0, 0.0};
-  int i = 0;
-  for (auto policy : {dist::SchedulePolicy::kGPipe, dist::SchedulePolicy::k1F1B}) {
-    dist::HybridParallelTrainer hyb(factory, parity_options(),
-                                    hybrid_config(2, 2, 4, 8, 1, policy));
-    obs::TraceSession session;
-    hyb.attach_trace(&session);
-    auto rep = hyb.run();
-    hyb.attach_trace(nullptr);
-    obs::TraceAnalyzer an(session);
-    EXPECT_NEAR(an.exposed_collective_seconds(), rep.stats.back().allreduce_exposed_seconds,
-                1e-12)
-        << dist::schedule_policy_name(policy);
-    exposed[i++] = an.exposed_collective_seconds();
-  }
-  EXPECT_GT(exposed[0], 0.0);          // gpipe: all-reduce past the drain
-  EXPECT_LE(exposed[1], exposed[0]);   // 1f1b: bucket overlap hides some/all
+TEST(TraceAnalyzer, BucketedGridExposesCollectivePastTheLastBackward) {
+  // The drain ends at the last backward, so hop sends a bucket issue
+  // charges to its sender afterwards count as exposed collective time. On a
+  // VGG16 2 x 2 x 4 grid the buckets cannot all hide behind the drain: the
+  // trainer reads a positive exposure, and the span algebra reproduces it.
+  auto factory = [](int batch) { return graph::build_vgg(16, batch); };
+  core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
+  o.real = false;
+  auto cfg = hybrid_config(2, 2, 4, 32, 1);
+  cfg.cluster = sim::nvlink_cluster_spec(4);
+  dist::HybridParallelTrainer hyb(factory, o, cfg);
+  ASSERT_GT(hyb.buckets(1), 1);  // the FC stage
+  obs::TraceSession session;
+  hyb.attach_trace(&session);
+  auto rep = hyb.run();
+  hyb.attach_trace(nullptr);
+
+  obs::TraceAnalyzer an(session);
+  EXPECT_GT(rep.stats.back().allreduce_exposed_seconds, 0.0);
+  EXPECT_NEAR(an.exposed_collective_seconds(), rep.stats.back().allreduce_exposed_seconds,
+              1e-12);
+  EXPECT_TRUE(an.unmatched_flows().empty());
 }
 
 // --- determinism and parity -------------------------------------------------
@@ -259,7 +254,7 @@ TEST(ChromeTrace, VirtualClockExportIsByteIdenticalAcrossRuns) {
   auto run_once = [](std::string* out) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
     dist::HybridParallelTrainer hyb(factory, parity_options(),
-                                    hybrid_config(2, 2, 4, 8, 2, dist::SchedulePolicy::k1F1B));
+                                    hybrid_config(2, 2, 4, 8, 2));
     obs::TraceSession session;
     hyb.attach_trace(&session);
     hyb.run();
@@ -289,7 +284,7 @@ TEST(Trace, RecordingDoesNotPerturbTrainingOrSchedule) {
   // Bit-parity guard: a traced run must produce the same losses AND the same
   // virtual-clock scalars as an untraced one.
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  auto cfg = hybrid_config(2, 2, 4, 8, 3, dist::SchedulePolicy::k1F1B);
+  auto cfg = hybrid_config(2, 2, 4, 8, 3);
 
   dist::HybridParallelTrainer plain(factory, parity_options(), cfg);
   auto rep_plain = plain.run();
@@ -334,7 +329,7 @@ TEST(Metrics, StallHistogramBoundsArePinned) {
 TEST(Metrics, AnalyzerFillsCountersGaugesAndHistogram) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
   dist::HybridParallelTrainer pipe(factory, parity_options(),
-                                   hybrid_config(2, 1, 4, 8, 1, dist::SchedulePolicy::kGPipe));
+                                   hybrid_config(2, 1, 4, 8, 1));
   obs::TraceSession session;
   pipe.attach_trace(&session);
   pipe.run();
