@@ -7,6 +7,7 @@
 
 #include "nn/gemm.hpp"
 #include "nn/fft.hpp"
+#include "nn/span.hpp"
 #include "nn/winograd.hpp"
 #include "util/pairwise.hpp"
 #include "util/threadpool.hpp"
@@ -34,12 +35,22 @@ uint64_t col_bytes(const ConvDesc& d) {
 // accumulators and makes its innermost loop run over that block. The blocks
 // are generic (GCC/Clang) vectors of the x86-64 baseline width: two doubles or
 // four floats per SSE2 register; other targets lower them to their own SIMD
-// or to scalars. The padding bounds are solved once per position or tap (the
-// ranges below), never per term. Channels past the last one fill their lanes
-// with zero weights or gradients and are never stored. Per element, every
-// kernel adds the same terms in the same order as the plain nested loops
-// documented in conv.hpp, so the results are bit for bit independent of the
-// blocking.
+// or to scalars. Backward-data carries a block of at most four channels (an
+// RGB input, say) in one float vector instead of two.
+//
+// Forward and backward-data also block positions: a pass takes P adjacent
+// positions that read the same taps (two output columns in the forward, four
+// input columns of a stride-1 row in backward-data), each with its own
+// accumulators, so P independent add chains hide the add latency that bounds
+// a single chain. Positions whose tap range differs from their neighbour's
+// (the borders, and every backward-data column when stride_w > 1) run the
+// same code with P = 1.
+//
+// The padding bounds are solved once per position or tap (nn/span.hpp), never
+// per term. Channels past the last one fill their lanes with zero weights or
+// gradients and are never stored. Per element, every kernel adds the same
+// terms in the same order as the plain nested loops documented in conv.hpp,
+// so the results are bit for bit independent of both blockings.
 
 using F64x2 = double __attribute__((vector_size(16)));
 using F32x4 = float __attribute__((vector_size(16)));
@@ -47,21 +58,36 @@ constexpr int kLanes = 8;
 constexpr int kF64Vecs = kLanes / 2;
 constexpr int kF32Vecs = kLanes / 4;
 
-/// Half-open index range.
-struct Span {
-  int lo, hi;
-};
-
-/// The indices i in [0, count) with lo <= i * stride < hi. Every padding
-/// bound of the direct kernels is one such range, solved once per position
-/// or tap instead of once per term.
-Span stride_range(int lo, int hi, int stride, int count) {
-  const int first = lo <= 0 ? 0 : (lo + stride - 1) / stride;
-  const int end = hi <= 0 ? 0 : std::min(count, (hi + stride - 1) / stride);
-  return {first, std::max(first, end)};
-}
-
 int lane_blocks(int channels) { return (channels + kLanes - 1) / kLanes; }
+
+/// Forward of P adjacent output columns ox.. of row oy whose in-image taps
+/// kj_in are the same: column j reads the input stride_w * j further right.
+template <int P>
+void forward_columns(const ConvDesc& d, const float* xi, const F64x2* pb, const F64x2* init,
+                     int lanes, int oy, int ox, Span ki_in, Span kj_in, float* yo) {
+  const long ohw = static_cast<long>(d.out_h()) * d.out_w();
+  const int y0 = oy * d.stride_h - d.pad_h;
+  const int x0 = ox * d.stride_w - d.pad_w;
+  F64x2 acc[P][kF64Vecs];
+  for (int j = 0; j < P; ++j)
+    for (int v = 0; v < kF64Vecs; ++v) acc[j][v] = init[v];
+  for (int c = 0; c < d.c; ++c) {
+    for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
+      const float* row = xi + (static_cast<long>(c) * d.h + y0 + ki) * d.w + x0;
+      const F64x2* wrow = pb + (c * d.kh + ki) * d.kw * kF64Vecs;
+      for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) {
+        const F64x2* wt = wrow + kj * kF64Vecs;
+        for (int j = 0; j < P; ++j) {
+          const double xv = row[kj + j * d.stride_w];
+          for (int v = 0; v < kF64Vecs; ++v) acc[j][v] += xv * wt[v];
+        }
+      }
+    }
+  }
+  float* yp = yo + static_cast<long>(oy) * d.out_w() + ox;
+  for (int j = 0; j < P; ++j)
+    for (int l = 0; l < lanes; ++l) yp[j + l * ohw] = static_cast<float>(acc[j][l / 2][l % 2]);
+}
 
 void direct_forward(const ConvDesc& d, const float* x, const float* w, const float* bias,
                     float* y) {
@@ -76,6 +102,11 @@ void direct_forward(const ConvDesc& d, const float* x, const float* w, const flo
     for (int t = 0; t < taps; ++t)
       panel[(static_cast<size_t>(k / kLanes) * taps + t) * kF64Vecs + k % kLanes / 2][k % 2] =
           w[static_cast<long>(k) * taps + t];
+  // Taps kj whose column ox * stride - pad + kj lies inside the image.
+  auto kj_range = [&](int ox) {
+    const int x0 = ox * d.stride_w - d.pad_w;
+    return stride_range(-x0, d.w - x0, 1, d.kw);
+  };
   const size_t tasks = static_cast<size_t>(d.n) * blocks;
   util::ThreadPool::global().parallel_for(0, tasks, [&](size_t lo, size_t hi) {
     for (size_t nb = lo; nb < hi; ++nb) {
@@ -91,24 +122,18 @@ void direct_forward(const ConvDesc& d, const float* x, const float* w, const flo
         // Taps ki whose row oy * stride - pad + ki lies inside the image.
         const int y0 = oy * d.stride_h - d.pad_h;
         const Span ki_in = stride_range(-y0, d.h - y0, 1, d.kh);
-        for (int ox = 0; ox < ow; ++ox) {
-          const int x0 = ox * d.stride_w - d.pad_w;
-          const Span kj_in = stride_range(-x0, d.w - x0, 1, d.kw);
-          F64x2 acc[kF64Vecs];
-          for (int v = 0; v < kF64Vecs; ++v) acc[v] = init[v];
-          for (int c = 0; c < d.c; ++c) {
-            for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
-              const float* row = xi + (static_cast<long>(c) * d.h + y0 + ki) * d.w + x0;
-              const F64x2* wrow = pb + (c * d.kh + ki) * d.kw * kF64Vecs;
-              for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) {
-                const double xv = row[kj];
-                const F64x2* wt = wrow + kj * kF64Vecs;
-                for (int v = 0; v < kF64Vecs; ++v) acc[v] += xv * wt[v];
-              }
+        for (int ox = 0; ox < ow;) {
+          const Span kj_in = kj_range(ox);
+          if (ox + 1 < ow) {
+            const Span next = kj_range(ox + 1);
+            if (next.lo == kj_in.lo && next.hi == kj_in.hi) {
+              forward_columns<2>(d, xi, pb, init, lanes, oy, ox, ki_in, kj_in, yo);
+              ox += 2;
+              continue;
             }
           }
-          float* yp = yo + static_cast<long>(oy) * ow + ox;
-          for (int l = 0; l < lanes; ++l) yp[l * ohw] = static_cast<float>(acc[l / 2][l % 2]);
+          forward_columns<1>(d, xi, pb, init, lanes, oy, ox, ki_in, kj_in, yo);
+          ++ox;
         }
       }
     }
@@ -169,8 +194,72 @@ void winograd_forward(const ConvDesc& d, const float* x, const float* w, const f
   });
 }
 
-void direct_backward_data(const ConvDesc& d, const float* w, const float* dy, float* dx) {
+/// Backward-data of P adjacent input columns ix.. of row iy, in V vectors of
+/// four channels. Column j gathers from the outputs ox_in shifted by j; with
+/// P > 1 the row is stride-1 and every ox_in is unclipped, so all P columns
+/// read the same tap kj = ix + pad - ox.
+template <int P, int V>
+void backward_data_columns(const ConvDesc& d, const F32x4* pb, const float* dyi, int lanes,
+                           int iy, int ix, Span oy_in, Span ox_in, float* dxi) {
+  const int ow = d.out_w();
+  const long ohw = static_cast<long>(d.out_h()) * ow;
+  const int khw = d.kh * d.kw;
+  const long hw = static_cast<long>(d.h) * d.w;
+  constexpr F32x4 kMinusZero = {-0.0f, -0.0f, -0.0f, -0.0f};
+  float* xp = dxi + static_cast<long>(iy) * d.w + ix;
+  F32x4 acc[P][V] = {};
+  for (int j = 0; j < P; ++j)
+    for (int l = 0; l < lanes; ++l) acc[j][l / 4][l % 4] = xp[j + l * hw];
+  for (int k = 0; k < d.k; ++k) {
+    const float* dyk = dyi + k * ohw;
+    const F32x4* wk = pb + static_cast<size_t>(k) * khw * kF32Vecs;
+    for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
+      const int ki = iy + d.pad_h - oy * d.stride_h;
+      const float* grow = dyk + static_cast<long>(oy) * ow;
+      const F32x4* wrow = wk + ki * d.kw * kF32Vecs;
+      for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
+        const F32x4* wt = wrow + (ix + d.pad_w - ox * d.stride_w) * kF32Vecs;
+        for (int j = 0; j < P; ++j) {
+          const float gs = grow[ox + j];
+          const F32x4 g = {gs, gs, gs, gs};
+          // A zero g adds -0.0 in place of its term, without a branch (zero
+          // gradients are common after a ReLU). x + -0 is x for every x in
+          // round-to-nearest, +0 and -0 included.
+          for (int v = 0; v < V; ++v) acc[j][v] += g != 0.0f ? g * wt[v] : kMinusZero;
+        }
+      }
+    }
+  }
+  for (int j = 0; j < P; ++j)
+    for (int l = 0; l < lanes; ++l) xp[j + l * hw] = acc[j][l / 4][l % 4];
+}
+
+/// Backward-data of one image's block of channels, V vectors of four lanes.
+template <int V>
+void backward_data_block(const ConvDesc& d, const F32x4* pb, const float* dyi, int lanes,
+                         float* dxi) {
   const int oh = d.out_h(), ow = d.out_w();
+  for (int iy = 0; iy < d.h; ++iy) {
+    // Outputs oy that read row iy through a tap ki = iy + pad - oy * stride
+    // in [0, kh); ascending oy visits descending ki.
+    const Span oy_in = stride_range(iy + d.pad_h - d.kh + 1, iy + d.pad_h + 1, d.stride_h, oh);
+    for (int ix = 0; ix < d.w;) {
+      const Span ox_in = stride_range(ix + d.pad_w - d.kw + 1, ix + d.pad_w + 1, d.stride_w, ow);
+      // Four stride-1 columns whose output ranges are all unclipped.
+      if (d.stride_w == 1 && ix + 3 < d.w && ox_in.lo == ix + d.pad_w - d.kw + 1 &&
+          ix + 3 + d.pad_w + 1 <= ow) {
+        backward_data_columns<4, V>(d, pb, dyi, lanes, iy, ix, oy_in, ox_in, dxi);
+        ix += 4;
+      } else {
+        backward_data_columns<1, V>(d, pb, dyi, lanes, iy, ix, oy_in, ox_in, dxi);
+        ++ix;
+      }
+    }
+  }
+}
+
+void direct_backward_data(const ConvDesc& d, const float* w, const float* dy, float* dx) {
+  const long ohw = static_cast<long>(d.out_h()) * d.out_w();
   const int khw = d.kh * d.kw;
   const long hw = static_cast<long>(d.h) * d.w;
   const int blocks = lane_blocks(d.c);
@@ -181,7 +270,6 @@ void direct_backward_data(const ConvDesc& d, const float* w, const float* dy, fl
       for (int t = 0; t < khw; ++t)
         panel[((static_cast<size_t>(c / kLanes) * d.k + k) * khw + t) * kF32Vecs +
               c % kLanes / 4][c % 4] = w[(static_cast<long>(k) * d.c + c) * khw + t];
-  constexpr F32x4 kMinusZero = {-0.0f, -0.0f, -0.0f, -0.0f};
   // Gathers each input position's terms: k, then oy, then ox ascending, which
   // is the order a scatter over (k, oy, ox) delivers them in.
   const size_t tasks = static_cast<size_t>(d.n) * blocks;
@@ -191,37 +279,12 @@ void direct_backward_data(const ConvDesc& d, const float* w, const float* dy, fl
       const int c0 = static_cast<int>(nb) % blocks * kLanes;
       const int lanes = std::min(kLanes, d.c - c0);
       float* dxi = dx + (static_cast<long>(n) * d.c + c0) * hw;
-      const float* dyi = dy + static_cast<long>(n) * d.k * oh * ow;
+      const float* dyi = dy + static_cast<long>(n) * d.k * ohw;
       const F32x4* pb = panel.data() + static_cast<size_t>(c0 / kLanes) * d.k * khw * kF32Vecs;
-      for (int iy = 0; iy < d.h; ++iy) {
-        // Outputs oy that read row iy through a tap ki = iy + pad - oy * stride
-        // in [0, kh); ascending oy visits descending ki.
-        const Span oy_in = stride_range(iy + d.pad_h - d.kh + 1, iy + d.pad_h + 1, d.stride_h, oh);
-        for (int ix = 0; ix < d.w; ++ix) {
-          const Span ox_in =
-              stride_range(ix + d.pad_w - d.kw + 1, ix + d.pad_w + 1, d.stride_w, ow);
-          float* xp = dxi + static_cast<long>(iy) * d.w + ix;
-          F32x4 acc[kF32Vecs] = {};
-          for (int l = 0; l < lanes; ++l) acc[l / 4][l % 4] = xp[l * hw];
-          for (int k = 0; k < d.k; ++k) {
-            const float* dyk = dyi + static_cast<long>(k) * oh * ow;
-            const F32x4* wk = pb + static_cast<size_t>(k) * khw * kF32Vecs;
-            for (int oy = oy_in.lo; oy < oy_in.hi; ++oy) {
-              const int ki = iy + d.pad_h - oy * d.stride_h;
-              for (int ox = ox_in.lo; ox < ox_in.hi; ++ox) {
-                const float gs = dyk[static_cast<long>(oy) * ow + ox];
-                const F32x4 g = {gs, gs, gs, gs};
-                const F32x4* wt = wk + (ki * d.kw + ix + d.pad_w - ox * d.stride_w) * kF32Vecs;
-                // A zero g adds -0.0 in place of its term, without a branch
-                // (zero gradients are common after a ReLU). x + -0 is x for
-                // every x in round-to-nearest, +0 and -0 included.
-                for (int v = 0; v < kF32Vecs; ++v) acc[v] += g != 0.0f ? g * wt[v] : kMinusZero;
-              }
-            }
-          }
-          for (int l = 0; l < lanes; ++l) xp[l * hw] = acc[l / 4][l % 4];
-        }
-      }
+      if (lanes <= 4)
+        backward_data_block<1>(d, pb, dyi, lanes, dxi);
+      else
+        backward_data_block<kF32Vecs>(d, pb, dyi, lanes, dxi);
     }
   });
 }

@@ -32,6 +32,12 @@
 //                    reduce as a pairwise tree (util/pairwise.hpp). db per
 //                    sample is the double sum of every g in (oy, ox) order,
 //                    cast to float, reduced by the same tree.
+// The kernels block channels into lanes and positions into passes: forward
+// takes two output columns that share their in-image taps, backward-data four
+// input columns of a stride-1 row whose output ranges are unclipped, and every
+// other position runs alone. Each position keeps its own accumulators, so the
+// blocking changes only which elements are summed side by side, never the
+// terms or the order of any one element's sum.
 // im2col's backward-filter matches direct's bit for bit on finite inputs: its
 // extra terms (the padding taps and the zero gradients) are signed zeros
 // added to a double sum that is never -0.

@@ -1,8 +1,8 @@
 #include "nn/pool.hpp"
 
-#include <cstring>
 #include <limits>
 
+#include "nn/span.hpp"
 #include "util/threadpool.hpp"
 
 namespace sn::nn {
@@ -16,41 +16,37 @@ void pool_forward(const PoolDesc& d, const float* x, float* y, int32_t* argmax) 
       float* out = y + nc * static_cast<size_t>(oh) * ow;
       int32_t* am = argmax ? argmax + nc * static_cast<size_t>(oh) * ow : nullptr;
       for (int oy = 0; oy < oh; ++oy) {
+        const int y0 = oy * d.stride_h - d.pad_h;
+        const Span ki_in = stride_range(-y0, d.h - y0, 1, d.kh);
         for (int ox = 0; ox < ow; ++ox) {
-          int y0 = oy * d.stride_h - d.pad_h, x0 = ox * d.stride_w - d.pad_w;
+          const int x0 = ox * d.stride_w - d.pad_w;
+          const Span kj_in = stride_range(-x0, d.w - x0, 1, d.kw);
+          const long o = static_cast<long>(oy) * ow + ox;
           if (d.max_pool) {
+            // The first strictly greatest tap in (ki, kj) order wins, taken
+            // with selects rather than a data-dependent branch; a NaN never
+            // compares greater, so it is never picked.
             float best = -std::numeric_limits<float>::infinity();
             int32_t best_idx = -1;
-            for (int ki = 0; ki < d.kh; ++ki) {
-              int iy = y0 + ki;
-              if (iy < 0 || iy >= d.h) continue;
-              for (int kj = 0; kj < d.kw; ++kj) {
-                int ix = x0 + kj;
-                if (ix < 0 || ix >= d.w) continue;
-                float v = plane[static_cast<long>(iy) * d.w + ix];
-                if (v > best) {
-                  best = v;
-                  best_idx = static_cast<int32_t>(iy * d.w + ix);
-                }
+            for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
+              const int row = (y0 + ki) * d.w + x0;
+              for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) {
+                const float v = plane[row + kj];
+                const bool gt = v > best;
+                best = gt ? v : best;
+                best_idx = gt ? row + kj : best_idx;
               }
             }
-            out[static_cast<long>(oy) * ow + ox] = best_idx >= 0 ? best : 0.0f;
-            if (am) am[static_cast<long>(oy) * ow + ox] = best_idx;
+            out[o] = best_idx >= 0 ? best : 0.0f;
+            if (am) am[o] = best_idx;
           } else {
             double acc = 0.0;
-            int count = 0;
-            for (int ki = 0; ki < d.kh; ++ki) {
-              int iy = y0 + ki;
-              if (iy < 0 || iy >= d.h) continue;
-              for (int kj = 0; kj < d.kw; ++kj) {
-                int ix = x0 + kj;
-                if (ix < 0 || ix >= d.w) continue;
-                acc += plane[static_cast<long>(iy) * d.w + ix];
-                ++count;
-              }
+            for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
+              const long row = static_cast<long>(y0 + ki) * d.w + x0;
+              for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) acc += plane[row + kj];
             }
-            out[static_cast<long>(oy) * ow + ox] =
-                count ? static_cast<float>(acc / count) : 0.0f;
+            const int count = (ki_in.hi - ki_in.lo) * (kj_in.hi - kj_in.lo);
+            out[o] = count ? static_cast<float>(acc / count) : 0.0f;
           }
         }
       }
@@ -72,26 +68,17 @@ void pool_backward(const PoolDesc& d, const float* dy, const int32_t* argmax, fl
         }
       } else {
         for (int oy = 0; oy < oh; ++oy) {
+          const int y0 = oy * d.stride_h - d.pad_h;
+          const Span ki_in = stride_range(-y0, d.h - y0, 1, d.kh);
           for (int ox = 0; ox < ow; ++ox) {
-            int y0 = oy * d.stride_h - d.pad_h, x0 = ox * d.stride_w - d.pad_w;
-            int count = 0;
-            for (int ki = 0; ki < d.kh; ++ki) {
-              int iy = y0 + ki;
-              if (iy < 0 || iy >= d.h) continue;
-              for (int kj = 0; kj < d.kw; ++kj) {
-                int ix = x0 + kj;
-                if (ix >= 0 && ix < d.w) ++count;
-              }
-            }
+            const int x0 = ox * d.stride_w - d.pad_w;
+            const Span kj_in = stride_range(-x0, d.w - x0, 1, d.kw);
+            const int count = (ki_in.hi - ki_in.lo) * (kj_in.hi - kj_in.lo);
             if (!count) continue;
-            float gv = g[static_cast<long>(oy) * ow + ox] / static_cast<float>(count);
-            for (int ki = 0; ki < d.kh; ++ki) {
-              int iy = y0 + ki;
-              if (iy < 0 || iy >= d.h) continue;
-              for (int kj = 0; kj < d.kw; ++kj) {
-                int ix = x0 + kj;
-                if (ix >= 0 && ix < d.w) plane[static_cast<long>(iy) * d.w + ix] += gv;
-              }
+            const float gv = g[static_cast<long>(oy) * ow + ox] / static_cast<float>(count);
+            for (int ki = ki_in.lo; ki < ki_in.hi; ++ki) {
+              const long row = static_cast<long>(y0 + ki) * d.w + x0;
+              for (int kj = kj_in.lo; kj < kj_in.hi; ++kj) plane[row + kj] += gv;
             }
           }
         }

@@ -350,9 +350,11 @@ void reference_direct_backward_filter(const ConvDesc& d, const float* x, const f
 }
 
 /// Random geometry with a non-empty output. Channel counts straddle the
-/// kernels' channel blocks; every few draws force a 1xN or Nx1 kernel, or a
-/// kernel taller than the input with no padding (strides above the overhang
-/// still leave one output row).
+/// kernels' channel blocks and their four-lane halves; a third of the draws
+/// take rows and columns up to 24, so a row holds several of the kernels'
+/// position blocks and a tail. Every few draws force a 1xN or Nx1 kernel, or
+/// a kernel taller than the input with no padding (strides above the
+/// overhang still leave one output row).
 ConvDesc random_geometry(util::Rng& rng, int i) {
   auto pick = [&](int lo, int hi) { return lo + static_cast<int>(rng.next_u64() % (hi - lo + 1)); };
   for (;;) {
@@ -360,8 +362,9 @@ ConvDesc random_geometry(util::Rng& rng, int i) {
     d.n = rng.next_u64() % 2 ? 3 : 1;
     d.c = pick(1, 11);
     d.k = pick(1, 19);
-    d.h = pick(1, 10);
-    d.w = pick(1, 10);
+    const int extent = rng.next_u64() % 3 == 0 ? 24 : 10;
+    d.h = pick(1, extent);
+    d.w = pick(1, extent);
     d.kh = pick(1, 6);
     d.kw = pick(1, 6);
     d.stride_h = pick(1, 3);
@@ -425,7 +428,12 @@ TEST(ConvDirect, KernelsMatchTheNestedLoopsBitForBit) {
   for (int i = 0; i < 1500; ++i) {
     const ConvDesc d = random_geometry(rng, i);
     SCOPED_TRACE(describe(d));
-    const Mix mix = i % 8 == 7 ? Mix::kInfinities : i % 8 == 6 ? Mix::kPowersOfTwo : Mix::kUniform;
+    // The mix steps every four draws, so each mix meets all four of
+    // random_geometry's kernel shapes, which cycle with i % 4.
+    const int mix_slot = i / 4 % 8;
+    const Mix mix = mix_slot == 7   ? Mix::kInfinities
+                    : mix_slot == 6 ? Mix::kPowersOfTwo
+                                    : Mix::kUniform;
     const auto x = sweep_values(d.in_elems(), rng, mix);
     const auto w = sweep_values(d.weight_elems(), rng, mix);
     const auto b = sweep_values(static_cast<size_t>(d.k), rng, mix);
@@ -464,7 +472,7 @@ TEST(ConvBackward, Im2colFilterGradientMatchesDirectBitForBit) {
   for (int i = 0; i < 500; ++i) {
     const ConvDesc d = random_geometry(rng, i);
     SCOPED_TRACE(describe(d));
-    const Mix mix = i % 2 ? Mix::kPowersOfTwo : Mix::kUniform;
+    const Mix mix = i / 4 % 2 ? Mix::kPowersOfTwo : Mix::kUniform;
     const auto x = sweep_values(d.in_elems(), rng, mix);
     const auto dy = sweep_values(d.out_elems(), rng, mix);
     std::vector<float> ws(

@@ -1,9 +1,11 @@
 // Forward-semantics tests for the non-conv kernels: pooling (incl. argmax),
 // ReLU, LRN, BN statistics, dropout determinism, softmax, eltwise, concat;
-// the elementwise kernels are also checked bit for bit against scalar loops.
+// the elementwise and pooling kernels are also checked bit for bit against
+// plain loops.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -384,6 +386,132 @@ TEST(Elementwise, BackwardKernelsMatchScalarLoopsBitForBit) {
     check(
         "dropout_backward", [&](float* dx) { dropout_backward(n, x.data(), dy.data(), dx); },
         [&](uint64_t i, float& d) { d += dy[i] * x[i]; });
+  }
+}
+
+/// Pooling as plain nested loops: every tap tests its own bounds, and the
+/// max takes the first strictly greater value in (ki, kj) order.
+void reference_pool_forward(const PoolDesc& d, const float* x, float* y, int32_t* am) {
+  const int oh = d.out_h(), ow = d.out_w();
+  for (int nc = 0; nc < d.n * d.c; ++nc) {
+    const float* plane = x + static_cast<long>(nc) * d.h * d.w;
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        int32_t best_idx = -1;
+        double acc = 0.0;
+        int count = 0;
+        for (int ki = 0; ki < d.kh; ++ki) {
+          for (int kj = 0; kj < d.kw; ++kj) {
+            const int iy = oy * d.stride_h - d.pad_h + ki, ix = ox * d.stride_w - d.pad_w + kj;
+            if (iy < 0 || iy >= d.h || ix < 0 || ix >= d.w) continue;
+            const float v = plane[iy * d.w + ix];
+            if (v > best) {
+              best = v;
+              best_idx = iy * d.w + ix;
+            }
+            acc += v;
+            ++count;
+          }
+        }
+        const long o = (static_cast<long>(nc) * oh + oy) * ow + ox;
+        if (d.max_pool) {
+          y[o] = best_idx >= 0 ? best : 0.0f;
+          am[o] = best_idx;
+        } else {
+          y[o] = count ? static_cast<float>(acc / count) : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+void reference_pool_backward(const PoolDesc& d, const float* dy, const int32_t* am, float* dx) {
+  const int oh = d.out_h(), ow = d.out_w();
+  for (int nc = 0; nc < d.n * d.c; ++nc) {
+    float* plane = dx + static_cast<long>(nc) * d.h * d.w;
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        const long o = (static_cast<long>(nc) * oh + oy) * ow + ox;
+        if (d.max_pool) {
+          if (am[o] >= 0) plane[am[o]] += dy[o];
+          continue;
+        }
+        auto inside = [&](int ki, int kj) {
+          const int iy = oy * d.stride_h - d.pad_h + ki, ix = ox * d.stride_w - d.pad_w + kj;
+          return iy >= 0 && iy < d.h && ix >= 0 && ix < d.w;
+        };
+        int count = 0;
+        for (int ki = 0; ki < d.kh; ++ki)
+          for (int kj = 0; kj < d.kw; ++kj) count += inside(ki, kj);
+        if (!count) continue;
+        const float gv = dy[o] / static_cast<float>(count);
+        for (int ki = 0; ki < d.kh; ++ki)
+          for (int kj = 0; kj < d.kw; ++kj)
+            if (inside(ki, kj))
+              plane[(oy * d.stride_h - d.pad_h + ki) * d.w + ox * d.stride_w - d.pad_w + kj] += gv;
+      }
+    }
+  }
+}
+
+/// Pool inputs from a handful of values, so windows tie often, among them
+/// +-0, +-inf and NaN.
+std::vector<float> tie_floats(uint64_t n, sn::util::Rng& rng) {
+  const float values[] = {-0.0f,
+                          0.0f,
+                          1.0f,
+                          -1.0f,
+                          2.0f,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()};
+  std::vector<float> v(n);
+  for (auto& f : v) f = values[rng.next_below(std::size(values))];
+  return v;
+}
+
+TEST(Pool, KernelsMatchTheNestedLoopsBitForBit) {
+  // Overlapping (stride < kernel) and gapped (stride > kernel) windows,
+  // padding up to the kernel size (so some windows hold no input at all), and
+  // n * c planes from 1 to 15, which split unevenly over the pool's lanes.
+  sn::util::Rng rng(0x9001);
+  auto pick = [&](int lo, int hi) { return lo + static_cast<int>(rng.next_below(hi - lo + 1)); };
+  for (int i = 0; i < 2000; ++i) {
+    PoolDesc d;
+    d.n = pick(1, 3);
+    d.c = pick(1, 5);
+    d.h = pick(1, 12);
+    d.w = pick(1, 12);
+    d.kh = pick(1, 4);
+    d.kw = pick(1, 4);
+    d.stride_h = pick(1, 3);
+    d.stride_w = pick(1, 3);
+    d.pad_h = pick(0, d.kh);
+    d.pad_w = pick(0, d.kw);
+    d.max_pool = i % 4 != 3;
+    if (d.h + 2 * d.pad_h < d.kh || d.w + 2 * d.pad_w < d.kw) continue;
+    char geom[96];
+    std::snprintf(geom, sizeof geom, "n%d c%d %dx%d k%dx%d s%d,%d p%d,%d %s", d.n, d.c, d.h, d.w,
+                  d.kh, d.kw, d.stride_h, d.stride_w, d.pad_h, d.pad_w, d.max_pool ? "max" : "avg");
+    SCOPED_TRACE(geom);
+    const auto x = i % 2 ? tie_floats(d.in_elems(), rng) : mixed_floats(d.in_elems(), i);
+    const auto dy = mixed_floats(d.out_elems(), 7 * i + 1);
+    const auto dx0 = mixed_floats(d.in_elems(), 7 * i + 2);
+
+    std::vector<float> y(d.out_elems(), -7.0f), y_ref(d.out_elems());
+    std::vector<int32_t> am(d.out_elems(), -7), am_ref(d.out_elems(), -7);
+    pool_forward(d, x.data(), y.data(), am.data());
+    reference_pool_forward(d, x.data(), y_ref.data(), am_ref.data());
+    ASSERT_TRUE(same_bits(y, y_ref)) << "forward";
+    if (d.max_pool) {
+      ASSERT_EQ(am, am_ref) << "argmax";
+    }
+
+    std::vector<float> dx = dx0, dx_ref = dx0;
+    pool_backward(d, dy.data(), am_ref.data(), dx.data());
+    reference_pool_backward(d, dy.data(), am_ref.data(), dx_ref.data());
+    ASSERT_TRUE(same_bits(dx, dx_ref)) << "backward";
   }
 }
 
